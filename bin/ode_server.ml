@@ -51,10 +51,13 @@ let main db_dir port max_conns idle_timeout durability group_window port_file re
       let db, replica =
         match upstream with
         | None -> (
-            ( (try Ode.Database.open_ dir
-               with Ode_util.Codec.Corrupt msg ->
-                 Printf.eprintf "ode_server: %s is corrupt: %s\n" dir msg;
-                 exit 3),
+            ( (try Ode.Database.open_ dir with
+              | Ode_util.Codec.Corrupt msg ->
+                  Printf.eprintf "ode_server: %s is corrupt: %s\n" dir msg;
+                  exit 3
+              | Sys_error msg ->
+                  Printf.eprintf "ode_server: %s\n" msg;
+                  exit 1),
               None ))
         | Some (host, uport) -> (
             match Ode_served.Replication.bootstrap ~db_dir:dir ~host ~port:uport () with
@@ -65,6 +68,9 @@ let main db_dir port max_conns idle_timeout durability group_window port_file re
             | exception Unix.Unix_error (e, _, _) ->
                 Printf.eprintf "ode_server: cannot reach primary %s:%d: %s\n" host uport
                   (Unix.error_message e);
+                exit 1
+            | exception Sys_error msg ->
+                Printf.eprintf "ode_server: %s\n" msg;
                 exit 1)
       in
       (match slow_query_ms with

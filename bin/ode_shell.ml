@@ -175,10 +175,13 @@ let main memory file expr connect dir =
         else
           match dir with
           | Some d -> (
-              try Ode.Database.open_ d
-              with Ode_util.Codec.Corrupt msg ->
-                Printf.eprintf "ode_shell: %s is corrupt: %s\n" d msg;
-                exit 3)
+              try Ode.Database.open_ d with
+              | Ode_util.Codec.Corrupt msg ->
+                  Printf.eprintf "ode_shell: %s is corrupt: %s\n" d msg;
+                  exit 3
+              | Sys_error msg ->
+                  Printf.eprintf "ode_shell: %s\n" msg;
+                  exit 1)
           | None ->
               prerr_endline "ode_shell: need a database directory (or --memory, or --connect)";
               exit 2

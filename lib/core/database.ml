@@ -131,7 +131,8 @@ let default_object_cache = 4096
 
 let open_ ?(pool_pages = 512) ?(wal_checkpoint_bytes = 8 * 1024 * 1024)
     ?(object_cache = default_object_cache) ?(durability = Full) dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then raise (Sys_error (dir ^ ": not a directory"));
   let file name = Filename.concat dir name in
   let db =
     make_db ~dbdir:(Some dir)

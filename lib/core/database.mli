@@ -34,7 +34,8 @@ val open_ :
     [object_cache] sizes the decoded-object cache in entries (decoded
     headers and version field lists); 0 disables it. Default 4096.
     [durability] (default [Full]) picks when commits fsync — see
-    {!durability} below. *)
+    {!durability} below. Raises [Sys_error] when [dir] exists but is not
+    a directory, or cannot be created. *)
 
 val open_in_memory : ?pool_pages:int -> ?object_cache:int -> ?durability:Types.durability -> unit -> t
 (** A volatile database: same engine, same WAL protocol, no files. *)

@@ -124,7 +124,9 @@ let render_error = function
   | Ode_lang.Lexer.Lex_error (msg, off) -> Printf.sprintf "lex error at %d: %s" off msg
   | Catalog.Schema_error msg -> "schema error: " ^ msg
   | Ode_model.Typecheck.Error msg -> "type error: " ^ msg
-  | Ode_model.Eval.Error msg -> "error: " ^ msg
+  (* No prefix: whoever prints the rendered error (the shell locally, the
+     client over the wire) puts "error: " in front exactly once. *)
+  | Ode_model.Eval.Error msg -> msg
   | Store.Type_error msg -> "type error: " ^ msg
   | Store.No_cluster c -> Printf.sprintf "no cluster exists for class %s (use: create cluster %s;)" c c
   | Triggers.Trigger_error msg -> "trigger error: " ^ msg

@@ -30,8 +30,6 @@ type t = {
   backoff : float;
   mutable fd : Unix.file_descr option;  (* write-pool connection *)
   mutable rfd : Unix.file_descr option; (* read-pool connection *)
-  mutable proto : int;  (* negotiated version of [fd] *)
-  mutable rproto : int; (* negotiated version of [rfd] *)
   mutable next_id : int;
   mutable seen_lsn : int; (* read-your-writes watermark *)
   mutable last_trace : int; (* trace id of the most recent request *)
@@ -78,12 +76,10 @@ let open_socket ~timeout ~host ~port =
       try read_exact fd Protocol.hello_reply_len
       with Conn_lost msg -> raise (Rejected ("handshake: " ^ msg))
     in
-    let negotiated =
-      match Protocol.parse_hello_reply reply with
-      | Ok v -> v
-      | Error msg -> raise (Rejected msg)
-    in
-    (fd, negotiated)
+    (match Protocol.parse_hello_reply reply with
+    | Ok _ -> ()
+    | Error msg -> raise (Rejected msg));
+    fd
   with e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
@@ -102,17 +98,13 @@ let connect ?(timeout = 30.) ?(retries = 4) ?(backoff = 0.05) ?(replicas = []) ~
       backoff = Float.max 0. backoff;
       fd = None;
       rfd = None;
-      proto = Protocol.version;
-      rproto = Protocol.version;
       next_id = 0;
       seen_lsn = -1;
       last_trace = 0;
       jitter = Random.State.make_self_init ();
     }
   in
-  let fd, v = open_socket ~timeout ~host ~port in
-  t.fd <- Some fd;
-  t.proto <- v;
+  t.fd <- Some (open_socket ~timeout ~host ~port);
   t
 
 let drop_socket t =
@@ -135,13 +127,12 @@ let socket t =
   | None ->
       (* First use after a lost connection: the current write endpoint. *)
       let host, port = t.endpoints.(t.active) in
-      let fd, v = open_socket ~timeout:t.timeout ~host ~port in
+      let fd = open_socket ~timeout:t.timeout ~host ~port in
       t.fd <- Some fd;
-      t.proto <- v;
       fd
 
 (* Every request gets a fresh client-assigned trace id (nonzero, from the
-   client's own PRNG): the id rides the v3 frame, the server stamps it on
+   client's own PRNG): the id rides the request frame, the server stamps it on
    the request's spans and into the WAL commit record, and [last_trace_id]
    lets a caller correlate its request with server-side dumps and logs. *)
 let fresh_trace t =
@@ -153,10 +144,9 @@ let fresh_trace t =
   t.last_trace <- id;
   id
 
-(* One request/response over [fd], encoded per the connection's negotiated
-   [version]. [timeout], when given, overrides the connection default for
-   just this exchange. *)
-let raw_exchange ?timeout ~version t fd op : Protocol.response =
+(* One request/response over [fd]. [timeout], when given, overrides the
+   connection default for just this exchange. *)
+let raw_exchange ?timeout t fd op : Protocol.response =
   (match timeout with
   | Some s ->
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
@@ -165,7 +155,7 @@ let raw_exchange ?timeout ~version t fd op : Protocol.response =
   t.next_id <- t.next_id + 1;
   let id = t.next_id in
   let b = Buffer.create 256 in
-  Protocol.encode_request ~version b { rq_id = id; rq_trace = fresh_trace t; rq_op = op };
+  Protocol.encode_request b { rq_id = id; rq_trace = fresh_trace t; rq_op = op };
   let frame = Buffer.contents b in
   write_all fd frame 0 (String.length frame);
   let len_bytes = read_exact fd 4 in
@@ -187,9 +177,7 @@ let raw_exchange ?timeout ~version t fd op : Protocol.response =
          (Printf.sprintf "client: response id %d for request %d" resp.rs_id id));
   resp
 
-let exchange ?timeout t op =
-  let fd = socket t in
-  raw_exchange ?timeout ~version:t.proto t fd op
+let exchange ?timeout t op = raw_exchange ?timeout t (socket t) op
 
 (* The rendered form of [Read_only_store]: this prefix is the server telling
    us to take our writes elsewhere (see lib/core/shell.ml). *)
@@ -290,9 +278,8 @@ let replica_response ?timeout t op =
         | None -> (
             let host, port = t.replicas.(t.ractive) in
             match open_socket ~timeout:t.timeout ~host ~port with
-            | fd, v ->
+            | fd ->
                 t.rfd <- Some fd;
-                t.rproto <- v;
                 Some fd
             | exception
                 ( Rejected _
@@ -308,7 +295,7 @@ let replica_response ?timeout t op =
           t.ractive <- (t.ractive + 1) mod n;
           go (tries - 1)
       | Some fd -> (
-          match raw_exchange ?timeout ~version:t.rproto t fd op with
+          match raw_exchange ?timeout t fd op with
           | resp -> if resp.rs_lsn >= t.seen_lsn then Some resp else None
           | exception (Conn_lost _ | Timeout) ->
               drop_replica_socket t;
@@ -365,7 +352,7 @@ let exec_many t srcs =
       List.map
         (fun src ->
           t.next_id <- t.next_id + 1;
-          Protocol.encode_request ~version:t.proto b
+          Protocol.encode_request b
             { rq_id = t.next_id; rq_trace = fresh_trace t; rq_op = Exec src };
           (t.next_id, src))
         srcs
@@ -430,6 +417,6 @@ let exec_many t srcs =
 let close t =
   (match t.fd with
   | None -> ()
-  | Some fd -> ( try ignore (raw_exchange ~version:t.proto t fd Close) with _ -> ()));
+  | Some fd -> ( try ignore (raw_exchange t fd Close) with _ -> ()));
   drop_socket t;
   drop_replica_socket t

@@ -5,14 +5,9 @@ module Codec = Ode_util.Codec
 
 let magic = "ODEP"
 
-(* v3 added the optional request trace id; v4 the distinct retryable
-   conflict reply (MVCC first-committer-wins aborts). The server accepts
-   any version in [min_version, version] and frames are encoded/decoded
-   per the negotiated version, so older clients keep connecting (their
-   requests carry no trace id, and conflicts reach them as ordinary
-   errors with the "conflict: " prefix). *)
+(* One version: every peer is built from this tree, so a hello at any
+   other version is answered [Bad_version] and hung up. *)
 let version = 4
-let min_version = 2
 let max_frame_len = 16 * 1024 * 1024
 
 (* Replication connections carry their own magic (so a replica pointed at a
@@ -35,12 +30,10 @@ type status = Accepted | Busy | Bad_version
 
 let status_byte = function Accepted -> 0 | Busy -> 1 | Bad_version -> 2
 
-(* The reply echoes the NEGOTIATED version (the client's, when the server
-   accepted it), so both sides encode subsequent frames identically. *)
-let hello_reply ?(negotiated = version) st =
+let hello_reply st =
   let b = Buffer.create 8 in
   Buffer.add_string b magic;
-  Codec.put_u16 b negotiated;
+  Codec.put_u16 b version;
   Codec.put_u8 b (status_byte st);
   Buffer.contents b
 
@@ -60,17 +53,16 @@ let parse_hello_reply s =
     let c = Codec.cursor ~pos:4 s in
     let v = Codec.get_u16 c in
     match Codec.get_u8 c with
-    | 0 -> Ok v (* the negotiated version: encode frames per it *)
+    | 0 when v = version -> Ok v
     | 1 -> Error "server busy (connection limit reached)"
-    | 2 -> Error (Printf.sprintf "protocol version mismatch (server %d, client %d)" v version)
+    | 0 | 2 -> Error (Printf.sprintf "protocol version mismatch (server %d, client %d)" v version)
     | n -> Error (Printf.sprintf "handshake reply: unknown status %d" n)
 
 (* -- requests / responses ----------------------------------------------- *)
 
 type op = Ping | Exec of string | Query of string | Dot of string | Close
 
-(* [rq_trace] is the client-assigned trace id (0 = untraced); it rides the
-   wire only on v3+ connections. *)
+(* [rq_trace] is the client-assigned trace id (0 = untraced). *)
 type request = { rq_id : int; rq_trace : int; rq_op : op }
 type reply =
   | Pong
@@ -95,10 +87,10 @@ let frame b body =
   Codec.put_u32 b len;
   Buffer.add_buffer b body
 
-let encode_request ?(version = version) b { rq_id; rq_trace; rq_op } =
+let encode_request b { rq_id; rq_trace; rq_op } =
   let body = Buffer.create 64 in
   Codec.put_u32 body rq_id;
-  if version >= 3 then Codec.put_int body rq_trace;
+  Codec.put_int body rq_trace;
   (match rq_op with
   | Ping -> Codec.put_u8 body 0
   | Exec src ->
@@ -113,7 +105,7 @@ let encode_request ?(version = version) b { rq_id; rq_trace; rq_op } =
   | Close -> Codec.put_u8 body 4);
   frame b body
 
-let encode_response ?(version = version) b { rs_id; rs_lsn; rs_reply } =
+let encode_response b { rs_id; rs_lsn; rs_reply } =
   let body = Buffer.create 64 in
   Codec.put_u32 body rs_id;
   Codec.put_int body rs_lsn;
@@ -130,26 +122,18 @@ let encode_response ?(version = version) b { rs_id; rs_lsn; rs_reply } =
       Codec.put_u8 body 3;
       Codec.put_string body msg
   | Err_conflict msg ->
-      if version >= 4 then begin
-        Codec.put_u8 body 4;
-        Codec.put_string body msg
-      end
-      else begin
-        (* Pre-v4 peers know no conflict tag; they get an ordinary error
-           whose prefix still marks it recognizably. *)
-        Codec.put_u8 body 3;
-        Codec.put_string body ("conflict: " ^ msg)
-      end);
+      Codec.put_u8 body 4;
+      Codec.put_string body msg);
   frame b body
 
 let check_consumed c =
   if not (Codec.at_end c) then
     raise (Codec.Corrupt (Printf.sprintf "protocol: %d trailing bytes in frame" (Codec.remaining c)))
 
-let decode_request ?(version = version) s =
+let decode_request s =
   let c = Codec.cursor s in
   let rq_id = Codec.get_u32 c in
-  let rq_trace = if version >= 3 then Codec.get_int c else 0 in
+  let rq_trace = Codec.get_int c in
   let rq_op =
     match Codec.get_u8 c with
     | 0 -> Ping
@@ -193,6 +177,7 @@ let reader ?(max_len = max_frame_len) () = { buf = Buffer.create 4096; pos = 0; 
 
 let feed r bytes n = Buffer.add_subbytes r.buf bytes 0 n
 let buffered r = Buffer.length r.buf - r.pos
+let contents r = Buffer.sub r.buf r.pos (buffered r)
 
 let compact r =
   if r.pos > 0 && r.pos = Buffer.length r.buf then begin
@@ -260,7 +245,7 @@ let parse_repl_hello s =
   else
     let c = Codec.cursor ~pos:4 s in
     let v = Codec.get_u16 c in
-    if v >= min_version && v <= version then Stdlib.Ok ()
+    if v = version then Stdlib.Ok ()
     else
       Stdlib.Error
         (Printf.sprintf "repl handshake: version mismatch (peer %d, ours %d)" v version)

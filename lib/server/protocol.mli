@@ -17,13 +17,10 @@ val magic : string
 (** 4 bytes on the front of both hello messages. *)
 
 val version : int
-(** Current protocol version, sent as a u16. v3 added the optional request
-    trace id; v4 the distinct retryable {!Err_conflict} reply. *)
-
-val min_version : int
-(** Oldest client version the server still speaks (v2: no trace ids).
-    Frames are encoded/decoded per the negotiated version, so old clients
-    keep working. *)
+(** The protocol version, sent as a u16. There is exactly one: every peer
+    (client, shell, standby) is built from this tree, so the server answers
+    a hello at any other version with {!Bad_version} and hangs up, and a
+    standby's {!repl_hello} must carry this version too. *)
 
 val hello : string
 (** What a client sends immediately after connecting. *)
@@ -32,22 +29,21 @@ val hello_len : int
 
 type status = Accepted | Busy | Bad_version
 
-val hello_reply : ?negotiated:int -> status -> string
-(** The server's fixed-size answer; on anything but [Accepted] the server
-    closes the connection right after writing it. [negotiated] (default
-    {!version}) echoes the version the server will speak on this
-    connection — the client's own, when accepted. *)
+val hello_reply : status -> string
+(** The server's fixed-size answer, carrying its own {!version}; on
+    anything but [Accepted] the server closes the connection right after
+    writing it. *)
 
 val hello_reply_len : int
 
 val parse_hello : string -> (int, string) result
 (** Validate a client hello; [Ok v] is the client's protocol version
-    (which may differ from ours — the server decides what to do). *)
+    (which may differ from ours — the server answers {!Bad_version}). *)
 
 val parse_hello_reply : string -> (int, string) result
-(** Validate a server hello reply; [Ok v] is the negotiated protocol
-    version to encode subsequent frames with. [Error] carries a rendered
-    reason ("server busy", version mismatch, garbage). *)
+(** Validate a server hello reply; [Ok version] when the server accepted
+    us. [Error] carries a rendered reason ("server busy", a version
+    mismatch naming both versions, garbage). *)
 
 (** {1 Requests and responses} *)
 
@@ -59,9 +55,7 @@ type op =
   | Close  (** polite goodbye; the server replies then closes *)
 
 type request = { rq_id : int; rq_trace : int; rq_op : op }
-(** [rq_trace] is the client-assigned trace id (0 = untraced). It rides
-    the wire only on v3+ connections; a v2 peer's requests decode with
-    [rq_trace = 0]. *)
+(** [rq_trace] is the client-assigned trace id (0 = untraced). *)
 
 type reply =
   | Pong
@@ -71,8 +65,7 @@ type reply =
   | Err_conflict of string
       (** the transaction lost first-committer-wins conflict detection and
           was aborted server-side; retryable by re-executing the whole
-          transaction. On pre-v4 connections this is downgraded to
-          [Error ("conflict: " ^ msg)]. *)
+          transaction. *)
 
 type response = { rs_id : int; rs_lsn : int; rs_reply : reply }
 (** [rs_lsn] is the serving database's commit LSN at response time: on the
@@ -84,19 +77,16 @@ type response = { rs_id : int; rs_lsn : int; rs_reply : reply }
 val max_frame_len : int
 (** Upper bound on a frame body (16 MiB). *)
 
-val encode_request : ?version:int -> Buffer.t -> request -> unit
-(** Appends a complete frame (length prefix included), laid out per the
-    negotiated [version] (default current). Raises [Invalid_argument] if
-    the payload would exceed {!max_frame_len}. *)
+val encode_request : Buffer.t -> request -> unit
+(** Appends a complete frame (length prefix included). Raises
+    [Invalid_argument] if the payload would exceed {!max_frame_len}. *)
 
-val encode_response : ?version:int -> Buffer.t -> response -> unit
-(** Appends a complete frame per the negotiated [version] (default
-    current); {!Err_conflict} downgrades to a prefixed {!Error} for
-    pre-v4 peers. *)
+val encode_response : Buffer.t -> response -> unit
+(** Appends a complete frame. *)
 
-val decode_request : ?version:int -> string -> request
-(** Decode one frame body per the negotiated [version]. Raises
-    {!Ode_util.Codec.Corrupt} on malformed or trailing bytes. *)
+val decode_request : string -> request
+(** Decode one frame body. Raises {!Ode_util.Codec.Corrupt} on malformed
+    or trailing bytes. *)
 
 val decode_response : string -> response
 
@@ -116,6 +106,9 @@ val feed : reader -> bytes -> int -> unit
 (** [feed r buf n] appends the first [n] bytes of [buf]. *)
 
 val buffered : reader -> int
+
+val contents : reader -> string
+(** The buffered bytes, without consuming them. *)
 
 val take : reader -> int -> string option
 (** [take r n] removes and returns exactly [n] raw bytes, or [None] if
@@ -156,6 +149,7 @@ val repl_max_frame_len : int
 val repl_hello : string
 val repl_hello_len : int
 val parse_repl_hello : string -> (unit, string) result
+(** [Ok] only for {!repl_magic} at exactly {!version}. *)
 
 val encode_repl : Buffer.t -> repl_msg -> unit
 (** Appends a complete frame (length prefix included). *)

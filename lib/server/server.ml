@@ -45,20 +45,34 @@
    [.promote] or SIGUSR1. Under [sync_repl] the write phase additionally
    holds back any reply whose commit no streaming replica has acknowledged
    yet (semi-sync), degrading after a timeout rather than blocking writes
-   forever on a dead standby. *)
+   forever on a dead standby.
+
+   Every socket the loop talks through is one [endpoint]: descriptor,
+   input frame reader, output buffer and written prefix. A [peer] names
+   what sits behind it — a client session, a standby streaming from us,
+   the primary we stream from, a metrics scraper — and each kind keeps its
+   own state in its own record. One non-blocking read and one non-blocking
+   write serve every endpoint; they hand the kind three events: bytes
+   arrived ([arrived]), the output buffer drained ([drained]) and the peer
+   went away ([gone]: EOF or any socket error other than EAGAIN/EINTR). *)
 
 module Stats = Ode_util.Stats
 module Chan = Ode_util.Chan
 module Rwlock = Ode_util.Rwlock
 module Db = Ode.Database
 
-type conn = {
+type endpoint = {
   fd : Unix.file_descr;
-  rd : Protocol.reader;
-  out : Buffer.t;             (* encoded responses awaiting the socket *)
+  rd : Protocol.reader;       (* received bytes, until the kind consumes them *)
+  out : Buffer.t;             (* bytes awaiting the socket *)
   mutable out_pos : int;      (* written prefix of [out] *)
+  mutable live : bool;        (* false once closed (the idle queue and the
+                                 poll dispatch hold stale references) *)
+}
+
+type conn = {
+  ep : endpoint;
   mutable state : [ `Hello | `Active of Session.t ];
-  mutable proto : int;        (* negotiated protocol version (handshake) *)
   mutable closing : bool;     (* close once [out] drains *)
   mutable last : float;       (* last byte received (idle eviction) *)
   mutable sent_lsn : int;     (* highest commit LSN this conn's buffered
@@ -68,16 +82,11 @@ type conn = {
                                  until its completion is collected *)
   mutable doomed : bool;      (* socket died while inflight; really dropped
                                  when the completion arrives *)
-  mutable alive : bool;       (* false once dropped (the idle queue and the
-                                 poll dispatch hold stale references) *)
 }
 
 (* A standby streaming from us. *)
 type downstream = {
-  d_fd : Unix.file_descr;
-  d_rd : Protocol.reader;
-  d_out : Buffer.t;
-  mutable d_out_pos : int;
+  d_ep : endpoint;
   mutable d_state : [ `Magic | `Hello | `Streaming ];
   mutable d_acked : int;      (* highest LSN it acknowledged; -1 = none yet *)
 }
@@ -86,11 +95,20 @@ type downstream = {
 type upstream_state = {
   u_host : string;
   u_port : int;
-  mutable u_link : Replication.upstream option; (* None while reconnecting *)
-  u_out : Buffer.t;           (* pending acks *)
-  mutable u_out_pos : int;
+  mutable u_ep : endpoint;    (* the link; not [live] while reconnecting *)
   mutable u_retry_at : float;
 }
+
+(* A metrics/health HTTP client: one GET in, one response out, close. *)
+type mconn = {
+  m_ep : endpoint;
+  mutable m_done : bool;      (* response built; close once it drains *)
+  mutable m_last : float;
+}
+
+type peer = Conn of conn | Down of downstream | Up of upstream_state | Scrape of mconn
+
+let ep_of = function Conn c -> c.ep | Down d -> d.d_ep | Up u -> u.u_ep | Scrape m -> m.m_ep
 
 (* A request handed to a reader domain, and its way back. [rj_enq_ns] is
    the push time, so the reader can report queue wait separately from
@@ -109,27 +127,8 @@ type completion = {
       (* None: the query tried to write — replay it on the writer *)
 }
 
-(* A metrics/health HTTP client: one GET in, one response out, close. *)
-type mconn = {
-  m_fd : Unix.file_descr;
-  m_buf : Buffer.t;           (* request bytes until the blank line *)
-  m_out : Buffer.t;
-  mutable m_out_pos : int;
-  mutable m_done : bool;      (* response built; close once [m_out] drains *)
-  mutable m_last : float;
-}
-
 (* What each poll slot means this tick (index-aligned with [Poll.add]). *)
-type slot =
-  | S_none
-  | S_listen
-  | S_repl_listen
-  | S_metrics_listen
-  | S_wake
-  | S_up
-  | S_conn of conn
-  | S_down of downstream
-  | S_metrics of mconn
+type slot = S_none | S_listen | S_repl_listen | S_metrics_listen | S_wake | S_peer of peer
 
 type t = {
   db : Ode.Database.t;
@@ -215,16 +214,22 @@ let handle_signals t =
    wraps request execution in the exclusive side itself — a writer's WAL
    fsync no longer holds snapshot readers out. *)
 
-let out_pending c = Buffer.length c.out - c.out_pos
-let d_pending d = Buffer.length d.d_out - d.d_out_pos
-let u_pending u = Buffer.length u.u_out - u.u_out_pos
-
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+let endpoint ?max_len fd =
+  { fd; rd = Protocol.reader ?max_len (); out = Buffer.create 1024; out_pos = 0; live = true }
+
+let pending ep = Buffer.length ep.out - ep.out_pos
+
+let close_ep ep =
+  if ep.live then begin
+    ep.live <- false;
+    close_fd ep.fd
+  end
+
 let real_drop t c =
-  c.alive <- false;
   (match c.state with `Active s -> Session.close s | `Hello -> ());
-  close_fd c.fd;
+  close_ep c.ep;
   t.conns <- List.filter (fun c' -> c' != c) t.conns
 
 (* Dropping a connection whose request is still on a reader domain must
@@ -238,8 +243,12 @@ let drop t c =
   else real_drop t c
 
 let drop_downstream t d =
-  close_fd d.d_fd;
+  close_ep d.d_ep;
   t.downstreams <- List.filter (fun d' -> d' != d) t.downstreams
+
+let drop_mconn t m =
+  close_ep m.m_ep;
+  t.mconns <- List.filter (fun m' -> m' != m) t.mconns
 
 let is_primary t = t.upstream = None
 
@@ -309,6 +318,34 @@ let slot_add t slot fd ~read ~write =
   end;
   t.slots.(i) <- slot
 
+let add_peer t p ~read ~write = slot_add t (S_peer p) (ep_of p).fd ~read ~write
+
+(* Apply [f] to the meaning of every slot the last wait reported ready
+   per [ready] ([Poll.is_readable] or [Poll.is_writable]). *)
+let each_ready t ready f =
+  for i = 0 to Poll.length t.pset - 1 do
+    if ready (Poll.revents t.pset i) then f t.slots.(i)
+  done
+
+(* Accept everything pending on a listener, handing each new non-blocking
+   socket to [admit]. Descriptor exhaustion pauses accepting rather than
+   spinning on a listener we cannot serve: existing connections keep
+   draining — which is exactly what frees descriptors — and the listeners
+   rejoin the poll set once the backoff lapses. *)
+let rec accept_all t lfd ~what admit =
+  match Unix.accept ~cloexec:true lfd with
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (EINTR, _, _) -> accept_all t lfd ~what admit
+  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+      Stats.incr_server_accept_backoffs ();
+      t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
+      Printf.eprintf "server: accept%s: out of file descriptors; backing off\n%!" what
+  | fd, _ ->
+      Unix.set_nonblock fd;
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      admit fd;
+      accept_all t lfd ~what admit
+
 (* -- replication: primary side ------------------------------------------- *)
 
 (* The WAL observer: called inside [Wal.sync] after the barrier, with the
@@ -318,46 +355,35 @@ let feed t ~data ~from_lsn ~to_lsn =
   List.iter
     (fun d ->
       if d.d_state = `Streaming then begin
-        Protocol.encode_repl d.d_out (Protocol.R_batch (from_lsn, to_lsn, data));
+        Protocol.encode_repl d.d_ep.out (Protocol.R_batch (from_lsn, to_lsn, data));
         Stats.incr_repl_batches_sent ();
         Stats.add_repl_bytes_sent (String.length data)
       end)
     t.downstreams
 
-let rec accept_repl t lfd =
-  match Unix.accept ~cloexec:true lfd with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (EINTR, _, _) -> accept_repl t lfd
-  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr_server_accept_backoffs ();
-      t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
-      Printf.eprintf "server: accept (replication): out of file descriptors; backing off\n%!"
-  | fd, _ ->
-      Unix.set_nonblock fd;
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+let accept_repl t lfd =
+  accept_all t lfd ~what:" (replication)" (fun fd ->
       (* A replica does not serve replicas (no cascading) — and a full house
          just hangs up; the standby's bootstrap retries. *)
       if Db.read_only t.db || List.length t.downstreams >= max_downstreams then close_fd fd
       else
         t.downstreams <-
           {
-            d_fd = fd;
-            d_rd = Protocol.reader ~max_len:Protocol.repl_max_frame_len ();
-            d_out = Buffer.create 4096;
-            d_out_pos = 0;
+            d_ep = endpoint ~max_len:Protocol.repl_max_frame_len fd;
             d_state = `Magic;
             d_acked = -1;
           }
-          :: t.downstreams;
-      accept_repl t lfd
+          :: t.downstreams)
 
 (* Advance a downstream's handshake and consume its acks. Anything
-   malformed drops the connection — the standby resyncs. *)
+   malformed — a repl hello at another protocol version included — drops
+   the connection; the standby resyncs. *)
 let process_downstream t d =
+  let rd = d.d_ep.rd in
   try
     (match d.d_state with
     | `Magic -> (
-        match Protocol.take d.d_rd Protocol.repl_hello_len with
+        match Protocol.take rd Protocol.repl_hello_len with
         | None -> ()
         | Some s -> (
             match Protocol.parse_repl_hello s with
@@ -366,7 +392,7 @@ let process_downstream t d =
     | _ -> ());
     (match d.d_state with
     | `Hello -> (
-        match Protocol.next_frame d.d_rd with
+        match Protocol.next_frame rd with
         | None -> ()
         | Some body -> (
             match Protocol.decode_repl body with
@@ -384,9 +410,9 @@ let process_downstream t d =
                       Replication.answer_hello t.db ~replica_lsn:lsn)
                 with
                 | Replication.Resume { from_lsn; to_lsn; backlog } ->
-                    Protocol.encode_repl d.d_out (Protocol.R_resume from_lsn);
+                    Protocol.encode_repl d.d_ep.out (Protocol.R_resume from_lsn);
                     if String.length backlog > 0 then begin
-                      Protocol.encode_repl d.d_out
+                      Protocol.encode_repl d.d_ep.out
                         (Protocol.R_batch (from_lsn, to_lsn, backlog));
                       Stats.incr_repl_batches_sent ();
                       Stats.add_repl_bytes_sent (String.length backlog)
@@ -395,13 +421,13 @@ let process_downstream t d =
                     d.d_acked <- from_lsn;
                     d.d_state <- `Streaming
                 | Replication.Snapshot { lsn; files } ->
-                    Protocol.encode_repl d.d_out (Protocol.R_snapshot (lsn, files));
+                    Protocol.encode_repl d.d_ep.out (Protocol.R_snapshot (lsn, files));
                     d.d_state <- `Streaming)
             | _ -> raise Exit))
     | _ -> ());
     if d.d_state = `Streaming then begin
       let rec acks () =
-        match Protocol.next_frame d.d_rd with
+        match Protocol.next_frame rd with
         | None -> ()
         | Some body ->
             (match Protocol.decode_repl body with
@@ -415,29 +441,6 @@ let process_downstream t d =
     end
   with Exit | Ode_util.Codec.Corrupt _ -> drop_downstream t d
 
-let handle_downstream_read t d =
-  match Unix.read d.d_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop_downstream t d
-  | 0 -> drop_downstream t d
-  | n ->
-      Stats.add_server_bytes_in n;
-      Protocol.feed d.d_rd t.read_buf n;
-      process_downstream t d
-
-let handle_downstream_write t d =
-  let data = Buffer.contents d.d_out in
-  match Unix.write_substring d.d_fd data d.d_out_pos (String.length data - d.d_out_pos) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop_downstream t d
-  | n ->
-      Stats.add_server_bytes_out n;
-      d.d_out_pos <- d.d_out_pos + n;
-      if d.d_out_pos = Buffer.length d.d_out then begin
-        Buffer.clear d.d_out;
-        d.d_out_pos <- 0
-      end
-
 (* Highest LSN any streaming replica acknowledged: classic semi-sync wants
    at least one standby holding the commit, not all of them. *)
 let best_acked t =
@@ -447,13 +450,14 @@ let best_acked t =
 
 (* -- replication: replica side ------------------------------------------- *)
 
-let queue_ack t u = Protocol.encode_repl u.u_out (Protocol.R_ack (Db.lsn t.db))
+let link_endpoint (l : Replication.upstream) =
+  Unix.set_nonblock l.up_fd;
+  { fd = l.up_fd; rd = l.up_rd; out = Buffer.create 64; out_pos = 0; live = true }
 
-let upstream_fault _t u reason =
-  (match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ());
-  u.u_link <- None;
-  Buffer.clear u.u_out;
-  u.u_out_pos <- 0;
+let queue_ack t u = Protocol.encode_repl u.u_ep.out (Protocol.R_ack (Db.lsn t.db))
+
+let upstream_fault u reason =
+  close_ep u.u_ep;
   Stats.incr_repl_resyncs ();
   u.u_retry_at <- Unix.gettimeofday () +. 1.0;
   Printf.eprintf "replication: upstream lost (%s); retrying\n%!" reason
@@ -462,9 +466,9 @@ let upstream_fault _t u reason =
    (redo latches the engine exclusively inside [Db.apply_replicated]) and
    queueing an ack per batch. Snapshot reads keep working throughout,
    between batches. *)
-let process_upstream t u link =
+let process_upstream t u =
   let rec go () =
-    match Protocol.next_frame link.Replication.up_rd with
+    match Protocol.next_frame u.u_ep.rd with
     | None -> ()
     | Some body ->
         (match Protocol.decode_repl body with
@@ -475,49 +479,20 @@ let process_upstream t u link =
         go ()
   in
   try go () with
-  | Replication.Resync msg -> upstream_fault t u msg
-  | Ode_util.Codec.Corrupt msg -> upstream_fault t u msg
-
-let handle_upstream_read t u link =
-  match Unix.read link.Replication.up_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE | ETIMEDOUT), _, _) ->
-      upstream_fault t u "connection reset"
-  | 0 -> upstream_fault t u "primary closed the stream"
-  | n ->
-      Stats.add_server_bytes_in n;
-      Protocol.feed link.Replication.up_rd t.read_buf n;
-      process_upstream t u link
-
-let handle_upstream_write t u link =
-  let data = Buffer.contents u.u_out in
-  match
-    Unix.write_substring link.Replication.up_fd data u.u_out_pos
-      (String.length data - u.u_out_pos)
-  with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
-      upstream_fault t u "connection reset"
-  | n ->
-      Stats.add_server_bytes_out n;
-      u.u_out_pos <- u.u_out_pos + n;
-      if u.u_out_pos = Buffer.length u.u_out then begin
-        Buffer.clear u.u_out;
-        u.u_out_pos <- 0
-      end
+  | Replication.Resync msg -> upstream_fault u msg
+  | Ode_util.Codec.Corrupt msg -> upstream_fault u msg
 
 (* Re-handshake after a fault. [Replication.reconnect] connects with a
    blocking socket — on loopback a dead primary refuses instantly, so the
    loop stalls only when the primary is reachable but wedged. *)
 let try_reconnect t u =
-  if u.u_link = None && Unix.gettimeofday () >= u.u_retry_at then
+  if (not u.u_ep.live) && Unix.gettimeofday () >= u.u_retry_at then
     match Replication.reconnect ~host:u.u_host ~port:u.u_port t.db with
     | Ok link ->
-        Unix.set_nonblock link.Replication.up_fd;
-        u.u_link <- Some link;
+        u.u_ep <- link_endpoint link;
         queue_ack t u;
         (* Batches the primary pipelined behind the resume reply. *)
-        process_upstream t u link
+        process_upstream t u
     | Error msg ->
         u.u_retry_at <- Unix.gettimeofday () +. 2.0;
         Printf.eprintf "replication: reconnect failed (%s)\n%!" msg
@@ -528,7 +503,7 @@ let promote t =
   match t.upstream with
   | None -> Stdlib.Error "not a replica (already primary)"
   | Some u ->
-      (match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ());
+      close_ep u.u_ep;
       t.upstream <- None;
       Ode.Txn.with_excl t.db (fun () -> Db.set_read_only t.db false);
       Stdlib.Ok (Printf.sprintf "promoted to primary at lsn %d" (Db.lsn t.db))
@@ -539,7 +514,7 @@ let replication_report t =
   (match t.upstream with
   | Some u ->
       add "role           replica of %s:%d (%s)\n" u.u_host u.u_port
-        (match u.u_link with Some _ -> "connected" | None -> "disconnected, retrying")
+        (if u.u_ep.live then "connected" else "disconnected, retrying")
   | None -> add "role           primary\n");
   add "lsn            %d\n" (Db.lsn t.db);
   add "durable_lsn    %d\n" (Db.durable_lsn t.db);
@@ -556,8 +531,8 @@ let replication_report t =
         | `Streaming when d.d_acked >= 0 ->
             add "  streaming    acked %d (lag %d commits, %d bytes queued)\n" d.d_acked
               (max 0 (durable - d.d_acked))
-              (d_pending d)
-        | `Streaming -> add "  streaming    no ack yet (%d bytes queued)\n" (d_pending d)
+              (pending d.d_ep)
+        | `Streaming -> add "  streaming    no ack yet (%d bytes queued)\n" (pending d.d_ep)
         | `Magic | `Hello -> add "  handshaking\n")
       t.downstreams
   end;
@@ -579,12 +554,6 @@ let server_dot t line : Protocol.reply option =
    the writer domain — no extra threads, no keep-alive: parse the request
    line of one GET, answer, close. *)
 
-let m_pending m = Buffer.length m.m_out - m.m_out_pos
-
-let drop_mconn t m =
-  close_fd m.m_fd;
-  t.mconns <- List.filter (fun m' -> m' != m) t.mconns
-
 let http_response ?(status = "200 OK") ~content_type body =
   Printf.sprintf
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
@@ -604,8 +573,7 @@ let has_substring s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let metrics_answer t m =
-  let req = Buffer.contents m.m_buf in
+let metrics_answer t m req =
   let line =
     match String.index_opt req '\n' with
     | Some i -> String.trim (String.sub req 0 i)
@@ -624,54 +592,25 @@ let metrics_answer t m =
         | _ -> http_response ~status:"404 Not Found" ~content_type:"text/plain" "not found\n")
     | _ -> http_response ~status:"400 Bad Request" ~content_type:"text/plain" "bad request\n"
   in
-  Buffer.add_string m.m_out resp;
+  Buffer.add_string m.m_ep.out resp;
   m.m_done <- true
 
-let rec accept_metrics t lfd =
-  match Unix.accept ~cloexec:true lfd with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (EINTR, _, _) -> accept_metrics t lfd
-  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr_server_accept_backoffs ();
-      t.accept_pause <- Unix.gettimeofday () +. accept_backoff
-  | fd, _ ->
-      Unix.set_nonblock fd;
+let accept_metrics t lfd =
+  accept_all t lfd ~what:" (metrics)" (fun fd ->
       if List.length t.mconns >= max_mconns then close_fd fd
       else
         t.mconns <-
-          {
-            m_fd = fd;
-            m_buf = Buffer.create 256;
-            m_out = Buffer.create 4096;
-            m_out_pos = 0;
-            m_done = false;
-            m_last = Unix.gettimeofday ();
-          }
-          :: t.mconns;
-      accept_metrics t lfd
+          { m_ep = endpoint fd; m_done = false; m_last = Unix.gettimeofday () } :: t.mconns)
 
-let handle_metrics_read t m =
-  match Unix.read m.m_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> drop_mconn t m
-  | 0 -> drop_mconn t m
-  | n ->
-      m.m_last <- Unix.gettimeofday ();
-      Buffer.add_subbytes m.m_buf t.read_buf 0 n;
-      if Buffer.length m.m_buf > max_http_request then drop_mconn t m
-      else if not m.m_done then begin
-        let req = Buffer.contents m.m_buf in
-        if has_substring req "\r\n\r\n" || has_substring req "\n\n" then metrics_answer t m
-      end
-
-let handle_metrics_write t m =
-  let data = Buffer.contents m.m_out in
-  match Unix.write_substring m.m_fd data m.m_out_pos (String.length data - m.m_out_pos) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> drop_mconn t m
-  | n ->
-      m.m_out_pos <- m.m_out_pos + n;
-      if m.m_done && m.m_out_pos = Buffer.length m.m_out then drop_mconn t m
+(* The request so far sits unconsumed in the endpoint's reader; answer once
+   its header block is complete. *)
+let metrics_arrived t m =
+  m.m_last <- Unix.gettimeofday ();
+  if Protocol.buffered m.m_ep.rd > max_http_request then drop_mconn t m
+  else if not m.m_done then begin
+    let req = Protocol.contents m.m_ep.rd in
+    if has_substring req "\r\n\r\n" || has_substring req "\n\n" then metrics_answer t m req
+  end
 
 let sweep_mconns t now =
   if t.mconns <> [] then
@@ -700,7 +639,7 @@ let manage_gate t now =
     else
       let blocked =
         let best = best_acked t in
-        List.exists (fun c -> out_pending c > 0 && c.sent_lsn > best) t.conns
+        List.exists (fun c -> pending c.ep > 0 && c.sent_lsn > best) t.conns
       in
       if not blocked then t.gate_since <- None
       else
@@ -725,27 +664,14 @@ let update_gauges t =
            if d.d_state = `Streaming && d.d_acked >= 0 then max acc (durable - d.d_acked)
            else acc)
          0 t.downstreams);
-    Stats.set_repl_lag_bytes (List.fold_left (fun acc d -> acc + d_pending d) 0 t.downstreams)
+    Stats.set_repl_lag_bytes (List.fold_left (fun acc d -> acc + pending d.d_ep) 0 t.downstreams)
   end
 
 (* -- accepting ------------------------------------------------------------ *)
 
-let rec accept_pending t =
-  match Unix.accept ~cloexec:true t.listen_fd with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (EINTR, _, _) -> accept_pending t
-  | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      (* Descriptor exhaustion: pause accepting rather than spinning on a
-         listener we cannot serve. Existing connections keep draining —
-         which is exactly what frees descriptors — and the listener rejoins
-         the poll set once the backoff lapses. *)
-      Stats.incr_server_accept_backoffs ();
-      t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
-      Printf.eprintf "server: accept: out of file descriptors; backing off\n%!"
-  | fd, _ ->
+let accept_pending t =
+  accept_all t t.listen_fd ~what:"" (fun fd ->
       Stats.incr_server_accepts ();
-      Unix.set_nonblock fd;
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
       if List.length t.conns >= t.max_conns then begin
         (* Friendly rejection: a complete handshake reply, then goodbye. The
            7-byte write into a fresh socket's empty send buffer cannot
@@ -761,45 +687,37 @@ let rec accept_pending t =
         let now = Unix.gettimeofday () in
         let c =
           {
-            fd;
-            rd = Protocol.reader ();
-            out = Buffer.create 1024;
-            out_pos = 0;
+            ep = endpoint fd;
             state = `Hello;
-            proto = Protocol.version;
             closing = false;
             last = now;
             sent_lsn = -1;
             inflight = false;
             doomed = false;
-            alive = true;
           }
         in
         t.conns <- c :: t.conns;
         if t.idle_timeout > 0. then Queue.push (now, c) t.idle_q
-      end;
-      accept_pending t
+      end)
 
 (* -- per-connection processing -------------------------------------------- *)
 
 let try_handshake t c =
-  match Protocol.take c.rd Protocol.hello_len with
+  match Protocol.take c.ep.rd Protocol.hello_len with
   | None -> ()
-  | Some hello -> (
-      match Protocol.parse_hello hello with
-      | Ok v when v >= Protocol.min_version && v <= Protocol.version ->
-          (* Speak the client's version on this connection — the reply
-             echoes it so both sides encode frames identically. *)
-          c.proto <- v;
-          Buffer.add_string c.out (Protocol.hello_reply ~negotiated:v Accepted);
-          t.next_session <- t.next_session + 1;
-          c.state <- `Active (Session.create ~id:t.next_session t.db)
-      | Ok _ | Error _ ->
-          (* Version skew or garbage: answer with a parseable rejection and
-             hang up. *)
-          Stats.incr_server_rejects ();
-          Buffer.add_string c.out (Protocol.hello_reply Bad_version);
-          c.closing <- true)
+  | Some hello ->
+      if Protocol.parse_hello hello = Ok Protocol.version then begin
+        Buffer.add_string c.ep.out (Protocol.hello_reply Accepted);
+        t.next_session <- t.next_session + 1;
+        c.state <- `Active (Session.create ~id:t.next_session t.db)
+      end
+      else begin
+        (* Another protocol version or garbage: answer with a parseable
+           rejection and hang up. *)
+        Stats.incr_server_rejects ();
+        Buffer.add_string c.ep.out (Protocol.hello_reply Bad_version);
+        c.closing <- true
+      end
 
 (* Execute one request on the writer domain (the engine latches its own
    commit apply), buffer its reply, track the semi-sync position, bound
@@ -810,7 +728,7 @@ let exec_on_writer ?count t c session rq =
   (* Only a request that moved the LSN puts this connection under the
      semi-sync gate — reads ride free. *)
   if Db.lsn t.db > before then c.sent_lsn <- Db.lsn t.db;
-  Protocol.encode_response ~version:c.proto c.out resp;
+  Protocol.encode_response c.ep.out resp;
   (* Bound the deferred-durability window: a long batch syncs every
      [group_window] commits rather than once at the end. *)
   if Db.pending_commits t.db >= t.group_window then Db.sync_commits t.db
@@ -830,17 +748,17 @@ let run_frames t c session =
       (* Backpressure: leave complete frames buffered while this client's
          responses are backed up or a request is already in flight (strict
          in-order replies, one request at a time per connection). *)
-      if out_pending c < out_cap && (not c.closing) && not c.inflight then
-        match Protocol.next_frame c.rd with
+      if pending c.ep < out_cap && (not c.closing) && not c.inflight then
+        match Protocol.next_frame c.ep.rd with
         | None -> ()
         | Some body ->
-            let rq = Protocol.decode_request ~version:c.proto body in
+            let rq = Protocol.decode_request body in
             let server_reply =
               match rq.rq_op with Protocol.Dot line -> server_dot t line | _ -> None
             in
             (match server_reply with
             | Some reply ->
-                Protocol.encode_response ~version:c.proto c.out
+                Protocol.encode_response c.ep.out
                   { Protocol.rs_id = rq.rq_id; rs_lsn = Db.lsn t.db; rs_reply = reply }
             | None ->
                 if
@@ -868,7 +786,7 @@ let run_frames t c session =
     in
     go ()
   with Ode_util.Codec.Corrupt msg ->
-    Protocol.encode_response ~version:c.proto c.out
+    Protocol.encode_response c.ep.out
       { rs_id = 0; rs_lsn = Db.lsn t.db; rs_reply = Error ("protocol error: " ^ msg) };
     c.closing <- true
 
@@ -876,34 +794,84 @@ let process t c =
   (match c.state with `Hello -> try_handshake t c | `Active _ -> ());
   match c.state with `Active s -> run_frames t c s | `Hello -> ()
 
-let handle_read t c =
-  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop t c
-  | 0 -> drop t c
-  | n ->
-      Stats.add_server_bytes_in n;
-      c.last <- Unix.gettimeofday ();
-      Protocol.feed c.rd t.read_buf n;
-      process t c
+(* -- endpoint I/O --------------------------------------------------------- *)
 
-let handle_write t c =
-  let data = Buffer.contents c.out in
-  match Unix.write_substring c.fd data c.out_pos (String.length data - c.out_pos) with
+(* Bytes arrived; they are already in the endpoint's reader. *)
+let arrived t = function
+  | Conn c ->
+      c.last <- Unix.gettimeofday ();
+      process t c
+  | Down d -> process_downstream t d
+  | Up u -> process_upstream t u
+  | Scrape m -> metrics_arrived t m
+
+(* The output buffer drained. A client's backlog drained: execute any
+   requests that backpressure left buffered. *)
+let drained t = function
+  | Conn c -> if c.closing then drop t c else process t c
+  | Scrape m -> if m.m_done then drop_mconn t m
+  | Down _ | Up _ -> ()
+
+(* The peer hung up, or its socket failed. *)
+let gone t peer reason =
+  match peer with
+  | Conn c -> drop t c
+  | Down d -> drop_downstream t d
+  | Up u -> upstream_fault u reason
+  | Scrape m -> drop_mconn t m
+
+(* Metrics scrapes are not server traffic: they stay out of
+   [server.bytes_in]/[server.bytes_out]. *)
+let count_bytes peer add n = match peer with Scrape _ -> () | _ -> add n
+
+let read_ep t peer =
+  let ep = ep_of peer in
+  let busy = match peer with Conn c -> c.inflight | _ -> false in
+  if ep.live && not busy then
+    match Unix.read ep.fd t.read_buf 0 (Bytes.length t.read_buf) with
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+    | exception Unix.Unix_error (e, _, _) -> gone t peer (Unix.error_message e)
+    | 0 -> gone t peer "peer closed the connection"
+    | n ->
+        count_bytes peer Stats.add_server_bytes_in n;
+        Protocol.feed ep.rd t.read_buf n;
+        arrived t peer
+
+let write_ep t peer =
+  let ep = ep_of peer in
+  let data = Buffer.contents ep.out in
+  match Unix.write_substring ep.fd data ep.out_pos (String.length data - ep.out_pos) with
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> drop t c
+  | exception Unix.Unix_error (e, _, _) -> gone t peer (Unix.error_message e)
   | n ->
-      Stats.add_server_bytes_out n;
-      c.out_pos <- c.out_pos + n;
-      if c.out_pos = Buffer.length c.out then begin
-        Buffer.clear c.out;
-        c.out_pos <- 0;
-        if c.closing then drop t c
-        else
-          (* The backlog drained: execute any requests that backpressure
-             left buffered. *)
-          process t c
+      count_bytes peer Stats.add_server_bytes_out n;
+      ep.out_pos <- ep.out_pos + n;
+      if ep.out_pos = Buffer.length ep.out then begin
+        Buffer.clear ep.out;
+        ep.out_pos <- 0;
+        drained t peer
       end
+
+(* Every live endpoint: clients, standbys, the upstream link, scrapers. *)
+let peers t =
+  let up = match t.upstream with Some u when u.u_ep.live -> [ Up u ] | _ -> [] in
+  List.map (fun c -> Conn c) t.conns
+  @ List.map (fun d -> Down d) t.downstreams
+  @ up
+  @ List.map (fun m -> Scrape m) t.mconns
+
+(* Whether [peer] has output to send now. A doomed client's replies go
+   nowhere; with [gate], replies the semi-sync gate holds wait. *)
+let can_write t ~gate peer =
+  let ep = ep_of peer in
+  ep.live
+  && pending ep > 0
+  && match peer with Conn c -> (not c.doomed) && not (gate && gated t c) | _ -> true
+
+let want_read c =
+  (not c.closing) && (not c.inflight) && (not c.doomed) && pending c.ep < out_cap
+
+let want_read_peer = function Conn c -> want_read c | Scrape m -> not m.m_done | _ -> true
 
 (* -- completions ---------------------------------------------------------- *)
 
@@ -913,7 +881,7 @@ let finish_completion t (cm : completion) =
   if c.doomed then real_drop t c
   else begin
     (match cm.cm_resp with
-    | Some resp -> Protocol.encode_response ~version:c.proto c.out resp
+    | Some resp -> Protocol.encode_response c.ep.out resp
     | None ->
         (* The query tried to write (a method with side effects): replay it
            on the writer under the exclusive lock, where writes are legal.
@@ -944,7 +912,7 @@ let any_inflight t = List.exists (fun c -> c.inflight) t.conns
    entry is inspected half a timeout after it was queued: connections that
    were active meanwhile are requeued, stale ones evicted — so eviction
    lands between [idle_timeout] and 1.5x after the last byte. Dead
-   connections' entries are dropped lazily ([alive]). *)
+   connections' entries are dropped lazily ([live]). *)
 let evict_idle t =
   if t.idle_timeout > 0. then begin
     let now = Unix.gettimeofday () in
@@ -953,7 +921,7 @@ let evict_idle t =
       match Queue.peek_opt t.idle_q with
       | Some (enq, c) when enq <= ripe ->
           ignore (Queue.pop t.idle_q);
-          if c.alive then
+          if c.ep.live then
             if (not c.inflight) && now -. c.last > t.idle_timeout then begin
               Stats.incr_server_timeouts ();
               drop t c
@@ -984,23 +952,12 @@ let ack_deferred t =
    write phases. *)
 let gather_rounds = 8
 
-let want_read c =
-  (not c.closing) && (not c.inflight) && (not c.doomed) && out_pending c < out_cap
-
 let rec gather t rounds =
   if rounds > 0 then begin
     Poll.clear t.pset;
-    List.iter
-      (fun c -> if want_read c then slot_add t (S_conn c) c.fd ~read:true ~write:false)
-      t.conns;
+    List.iter (fun c -> if want_read c then add_peer t (Conn c) ~read:true ~write:false) t.conns;
     if Poll.length t.pset > 0 && Poll.wait t.pset ~timeout_ms:0 > 0 then begin
-      let n = Poll.length t.pset in
-      for i = 0 to n - 1 do
-        if Poll.is_readable (Poll.revents t.pset i) then
-          match t.slots.(i) with
-          | S_conn c when c.alive && not c.inflight -> handle_read t c
-          | _ -> ()
-      done;
+      each_ready t Poll.is_readable (function S_peer p -> read_ep t p | _ -> ());
       gather t (rounds - 1)
     end
   end
@@ -1025,23 +982,12 @@ let one_iteration t =
   (match t.metrics_fd with
   | Some fd -> slot_add t S_metrics_listen fd ~read:true ~write:false
   | None -> ());
-  List.iter
-    (fun m -> slot_add t (S_metrics m) m.m_fd ~read:(not m.m_done) ~write:(m_pending m > 0))
-    t.mconns;
   if t.nreaders > 0 then slot_add t S_wake t.wake_r ~read:true ~write:false;
-  (match t.upstream with
-  | Some ({ u_link = Some l; _ } as u) ->
-      slot_add t S_up l.Replication.up_fd ~read:true ~write:(u_pending u > 0)
-  | _ -> ());
   List.iter
-    (fun c ->
-      let r = want_read c in
-      let w = (not c.doomed) && out_pending c > 0 && not (gated t c) in
-      if r || w then slot_add t (S_conn c) c.fd ~read:r ~write:w)
-    t.conns;
-  List.iter
-    (fun d -> slot_add t (S_down d) d.d_fd ~read:true ~write:(d_pending d > 0))
-    t.downstreams;
+    (fun p ->
+      let read = want_read_peer p and write = can_write t ~gate:true p in
+      if read || write then add_peer t p ~read ~write)
+    (peers t);
   (* Completions already queued (or an accept backoff about to lapse) mean
      work is waiting — don't sleep a full tick on it. *)
   let timeout_ms =
@@ -1050,45 +996,29 @@ let one_iteration t =
     else 250
   in
   ignore (Poll.wait t.pset ~timeout_ms);
-  let n = Poll.length t.pset in
-  (* Listeners, the wake pipe and the upstream first: accepts and shipped
-     batches applied this tick are visible to everything below. *)
-  for i = 0 to n - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with
-      | S_listen -> accept_pending t
-      | S_repl_listen -> (
-          match t.repl_listen_fd with Some fd -> accept_repl t fd | None -> ())
-      | S_metrics_listen -> (
-          match t.metrics_fd with Some fd -> accept_metrics t fd | None -> ())
-      | S_metrics m when List.memq m t.mconns -> handle_metrics_read t m
-      | S_wake -> drain_wake t
-      | S_up -> (
-          match t.upstream with
-          | Some ({ u_link = Some l; _ } as u) -> handle_upstream_read t u l
-          | _ -> ())
-      | _ -> ()
-  done;
+  (* Listeners, the wake pipe, scrapers and the upstream first: accepts and
+     shipped batches applied this tick are visible to everything below.
+     Clients and standbys are read in their own phases after it. *)
+  let clients = ref [] and standbys = ref [] in
+  each_ready t Poll.is_readable (function
+    | S_listen -> accept_pending t
+    | S_repl_listen -> Option.iter (accept_repl t) t.repl_listen_fd
+    | S_metrics_listen -> Option.iter (accept_metrics t) t.metrics_fd
+    | S_wake -> drain_wake t
+    | S_peer (Conn _ as p) -> clients := p :: !clients
+    | S_peer (Down _ as p) -> standbys := p :: !standbys
+    | S_peer p -> read_ep t p
+    | S_none -> ());
   (* Client reads: feed frame readers, execute writer requests inline,
      dispatch read-only ones to the reader domains. *)
-  for i = 0 to n - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with
-      | S_conn c when c.alive && not c.inflight -> handle_read t c
-      | _ -> ()
-  done;
+  List.iter (read_ep t) (List.rev !clients);
   gather t gather_rounds;
   (* Reader completions: buffer their replies (and replay any re-routed
      writes) so they join this tick's write phase. *)
   if t.nreaders > 0 then drain_completions t;
   (* Standby acks — read before the write phase so the semi-sync gate sees
      them this tick. *)
-  for i = 0 to n - 1 do
-    if Poll.is_readable (Poll.revents t.pset i) then
-      match t.slots.(i) with
-      | S_down d when List.memq d t.downstreams -> handle_downstream_read t d
-      | _ -> ()
-  done;
+  List.iter (read_ep t) (List.rev !standbys);
   (* Read phase done: everything executed this tick shares one fsync.
      Replies buffered above only hit the sockets below, after it — and the
      fsync fed the observer, so the batches covering this tick's commits
@@ -1099,22 +1029,12 @@ let one_iteration t =
      syscall, and batches/acks/replies produced *this* tick get out without
      waiting a poll round. Gated replies stay put. *)
   List.iter
-    (fun c ->
-      if c.alive && (not c.doomed) && out_pending c > 0 && not (gated t c) then
-        handle_write t c)
-    t.conns;
-  List.iter
-    (fun d ->
-      if List.memq d t.downstreams then
-        if d_pending d > downstream_out_cap then drop_downstream t d
-        else if d_pending d > 0 then handle_downstream_write t d)
-    t.downstreams;
-  (match t.upstream with
-  | Some ({ u_link = Some l; _ } as u) when u_pending u > 0 -> handle_upstream_write t u l
-  | _ -> ());
-  List.iter
-    (fun m -> if List.memq m t.mconns && m_pending m > 0 then handle_metrics_write t m)
-    t.mconns;
+    (fun p ->
+      if can_write t ~gate:true p then
+        match p with
+        | Down d when pending d.d_ep > downstream_out_cap -> drop_downstream t d
+        | _ -> write_ep t p)
+    (peers t);
   sweep_mconns t now;
   update_gauges t
 
@@ -1130,9 +1050,7 @@ let drain t =
   (match t.repl_listen_fd with Some fd -> close_fd fd | None -> ());
   (match t.metrics_fd with Some fd -> close_fd fd | None -> ());
   List.iter (fun m -> drop_mconn t m) t.mconns;
-  (match t.upstream with
-  | Some u -> ( match u.u_link with Some l -> close_fd l.Replication.up_fd | None -> ())
-  | None -> ());
+  (match t.upstream with Some u -> close_ep u.u_ep | None -> ());
   let deadline = Unix.gettimeofday () +. drain_deadline in
   (* Every dispatched request completes (readers never abandon a job);
      collecting one may execute further frames that connection had
@@ -1149,27 +1067,19 @@ let drain t =
   let rec flush () =
     (* Buffers may hold replies whose commits are still pending — both from
        the final serve tick and from backpressured frames that a drained
-       write just executed ([handle_write] → [process]). Newly encoded
-       replies only reach a socket on the {e next} round, so acking at the
-       top of every round keeps the reply-after-fsync guarantee through
+       write just executed ([drained] → [process]). Newly encoded replies
+       only reach a socket on the {e next} round, so acking at the top of
+       every round keeps the reply-after-fsync guarantee through
        shutdown. *)
     ack_deferred t;
-    let pending_c = List.filter (fun c -> out_pending c > 0 && not c.doomed) t.conns in
-    let pending_d = List.filter (fun d -> d_pending d > 0) t.downstreams in
-    if (pending_c <> [] || pending_d <> []) && Unix.gettimeofday () < deadline then begin
+    let waiting = List.filter (can_write t ~gate:false) (peers t) in
+    if waiting <> [] && Unix.gettimeofday () < deadline then begin
       Poll.clear t.pset;
-      List.iter (fun c -> slot_add t (S_conn c) c.fd ~read:false ~write:true) pending_c;
-      List.iter (fun d -> slot_add t (S_down d) d.d_fd ~read:false ~write:true) pending_d;
-      if Poll.wait t.pset ~timeout_ms:250 > 0 then begin
-        let n = Poll.length t.pset in
-        for i = 0 to n - 1 do
-          if Poll.is_writable (Poll.revents t.pset i) then
-            match t.slots.(i) with
-            | S_conn c when c.alive -> handle_write t c
-            | S_down d when List.memq d t.downstreams -> handle_downstream_write t d
-            | _ -> ()
-        done
-      end;
+      List.iter (fun p -> add_peer t p ~read:false ~write:true) waiting;
+      if Poll.wait t.pset ~timeout_ms:250 > 0 then
+        each_ready t Poll.is_writable (function
+          | S_peer p when (ep_of p).live -> write_ep t p
+          | _ -> ());
       flush ()
     end
   in
@@ -1223,15 +1133,7 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
   let upstream =
     Option.map
       (fun (u_host, u_port, link) ->
-        Unix.set_nonblock link.Replication.up_fd;
-        {
-          u_host;
-          u_port;
-          u_link = Some link;
-          u_out = Buffer.create 64;
-          u_out_pos = 0;
-          u_retry_at = 0.;
-        })
+        { u_host; u_port; u_ep = link_endpoint link; u_retry_at = 0. })
       replica
   in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -1302,10 +1204,10 @@ let create ?(host = "127.0.0.1") ?(max_conns = 64) ?(idle_timeout = 300.) ?durab
   (* A replica announces its position and drains whatever the primary
      pipelined behind the bootstrap handshake. *)
   (match t.upstream with
-  | Some ({ u_link = Some l; _ } as u) ->
+  | Some u ->
       queue_ack t u;
-      process_upstream t u l
-  | _ -> ());
+      process_upstream t u
+  | None -> ());
   if nreaders > 0 then
     t.readers <- List.init nreaders (fun _ -> Domain.spawn (fun () -> reader_loop t));
   t

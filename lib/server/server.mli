@@ -18,6 +18,14 @@
     With [domains = 1] (the default) everything runs inline on one domain —
     the classic model, no lock, no queues.
 
+    Handshake: the server speaks exactly one protocol version,
+    {!Protocol.version}. A client hello at any other version is answered
+    with a [Bad_version] reply (which {!Client.connect} reports as
+    [Rejected], naming both versions) and the connection is closed; a
+    standby whose replication hello carries another version is hung up
+    on. Every peer is built from this tree, so there is nothing to
+    negotiate.
+
     Flow control: a connection whose response backlog exceeds an internal
     cap is not read from until the backlog drains, so a client that stops
     reading cannot balloon server memory. Connections idle longer than
@@ -29,7 +37,10 @@
     the process rlimit (poll, unlike select, has no FD_SETSIZE): thousands
     of concurrent connections are fine, and descriptor exhaustion
     (EMFILE/ENFILE) pauses accepting briefly — counted in
-    [server.accept_backoffs] — instead of failing.
+    [server.accept_backoffs] — instead of failing. A socket that reaches
+    EOF or fails with any error other than EAGAIN/EINTR — client, standby,
+    upstream link or scraper alike — drops just that peer; it never stops
+    the loop.
 
     {2 Group commit and the reply-after-fsync guarantee}
 

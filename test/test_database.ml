@@ -240,6 +240,18 @@ let bad_method_body_rolls_back_class () =
   ignore (Db.define db "class broken { q: int; };");
   Db.close db
 
+(* A DBDIR that is a regular file is refused up front, with a message that
+   says so, rather than failing deep inside the WAL open. *)
+let file_as_dbdir_rejected () =
+  let path = Filename.concat (Tutil.temp_dir "dbfile") "plain" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "not a database");
+  match Db.open_ path with
+  | db ->
+      Db.close db;
+      Alcotest.fail "a regular file must not open as a database"
+  | exception Sys_error msg ->
+      Tutil.check_string "message" (path ^ ": not a directory") msg
+
 let suite =
   [
     ( "database",
@@ -260,5 +272,6 @@ let suite =
         Alcotest.test_case "named roots persist" `Quick roots_persist;
         Alcotest.test_case "DDL rejected inside txn" `Quick ddl_rejected_inside_txn;
         Alcotest.test_case "failed class definition rolls back" `Quick bad_method_body_rolls_back_class;
+        Alcotest.test_case "regular file as DBDIR rejected" `Quick file_as_dbdir_rejected;
       ] );
   ]

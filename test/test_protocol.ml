@@ -1,10 +1,13 @@
 (* Wire-protocol codec: fuzzed round trips through the frame reader, plus
    the rejection paths (truncation, oversized frames, garbage handshakes)
-   the server leans on to survive hostile peers. *)
+   the server leans on to survive hostile peers, and the one-version
+   handshake. *)
 
 module P = Ode_served.Protocol
 module Codec = Ode_util.Codec
 module Prng = Ode_util.Prng
+module Server = Ode_served.Server
+module Client = Ode_served.Client
 
 (* Random binary payload, including NULs and high bytes. *)
 let rand_payload rng =
@@ -136,9 +139,6 @@ let garbage_handshake () =
   let rng = Prng.create 403 in
   Tutil.check_bool "good hello" true (P.parse_hello P.hello = Ok P.version);
   Tutil.check_bool "good reply" true (P.parse_hello_reply (P.hello_reply Accepted) = Ok P.version);
-  (* The reply echoes the negotiated version for the client to encode with. *)
-  Tutil.check_bool "negotiated reply" true
-    (P.parse_hello_reply (P.hello_reply ~negotiated:P.min_version Accepted) = Ok P.min_version);
   (* Busy / version-mismatch replies render reasons. *)
   (match P.parse_hello_reply (P.hello_reply Busy) with
   | Error msg -> Tutil.check_bool "busy reason" true (String.length msg > 0)
@@ -158,63 +158,127 @@ let garbage_handshake () =
   Tutil.check_bool "long hello" true (Result.is_error (P.parse_hello (P.hello ^ "x")));
   Tutil.check_bool "short reply" true (Result.is_error (P.parse_hello_reply "ODEP"))
 
-(* v2 framing carries no trace id: a v2-encoded request decodes per v2 with
-   [rq_trace = 0], and the strict trailing-bytes check means decoding one
-   version's frame with the other's layout is rejected, never silently
-   misread. *)
-let version_negotiation () =
-  let rq = { P.rq_id = 42; rq_trace = 0xbeef; rq_op = Exec "print 1;" } in
-  let b = Buffer.create 64 in
-  P.encode_request ~version:P.min_version b rq;
-  let rd = P.reader () in
-  let frame = Buffer.contents b in
-  P.feed rd (Bytes.of_string frame) (String.length frame);
-  (match P.next_frame rd with
-  | None -> Alcotest.fail "complete frame expected"
-  | Some body -> (
-      let got = P.decode_request ~version:P.min_version body in
-      Tutil.check_int "v2 id" rq.rq_id got.rq_id;
-      Tutil.check_int "v2 trace dropped" 0 got.rq_trace;
-      Tutil.check_bool "v2 op" true (op_eq rq.rq_op got.rq_op);
-      (* Decoding a v2 body as v3 misparses the layout: Corrupt, not junk. *)
-      match P.decode_request body with
-      | _ -> Alcotest.fail "v2 body must not decode as v3"
-      | exception Codec.Corrupt _ -> ()));
-  (* And a v3 frame must not pass a v2 decode. *)
-  let b3 = Buffer.create 64 in
-  P.encode_request b3 rq;
-  let rd3 = P.reader () in
-  let f3 = Buffer.contents b3 in
-  P.feed rd3 (Bytes.of_string f3) (String.length f3);
-  match P.next_frame rd3 with
-  | None -> Alcotest.fail "complete frame expected"
-  | Some body -> (
-      let got = P.decode_request body in
-      Tutil.check_int "v3 trace" rq.rq_trace got.rq_trace;
-      match P.decode_request ~version:P.min_version body with
-      | _ -> Alcotest.fail "v3 body must not decode as v2"
-      | exception Codec.Corrupt _ -> ())
+(* There is one protocol version. A client hello at any other version gets
+   a [Bad_version] reply and a hang-up; a client meeting a server of
+   another version is rejected with both versions named; a standby hello
+   at another version is refused; and the conflict reply keeps its own
+   tag on the wire. *)
+let hello_at magic v =
+  let b = Buffer.create 8 in
+  Buffer.add_string b magic;
+  Codec.put_u16 b v;
+  Buffer.contents b
 
-(* The conflict reply is v4 vocabulary: a v4 peer gets the distinct tag
-   back verbatim; an older peer must receive an ordinary [Error] whose
-   "conflict: " prefix still marks it as retryable. *)
-let conflict_downgrade () =
-  let decode_one frame =
-    let rd = P.reader () in
-    P.feed rd (Bytes.of_string frame) (String.length frame);
-    match P.next_frame rd with
-    | Some body -> (P.decode_response body).P.rs_reply
-    | None -> Alcotest.fail "complete frame expected"
+let rec write_all fd s pos =
+  if pos < String.length s then
+    write_all fd s (pos + Unix.write_substring fd s pos (String.length s - pos))
+
+(* Everything the peer sends until it hangs up. *)
+let read_to_eof fd =
+  let b = Buffer.create 16 and buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes b buf 0 n;
+        go ()
+    | exception Unix.Unix_error (ECONNRESET, _, _) -> ()
   in
-  let resp = { P.rs_id = 9; rs_lsn = 17; rs_reply = Err_conflict "root last" } in
-  let b4 = Buffer.create 64 in
-  P.encode_response b4 resp;
-  Tutil.check_bool "v4 keeps the distinct tag" true
-    (decode_one (Buffer.contents b4) = Err_conflict "root last");
-  let b3 = Buffer.create 64 in
-  P.encode_response ~version:3 b3 resp;
-  Tutil.check_bool "pre-v4 gets a prefixed plain error" true
-    (decode_one (Buffer.contents b3) = Error "conflict: root last")
+  go ();
+  Buffer.contents b
+
+let dial port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let with_fd fd f =
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
+
+(* A server of protocol version [v]: answers one hello with [Bad_version]
+   and exits. *)
+let foreign_server v =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port = match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> assert false in
+  match Unix.fork () with
+  | 0 ->
+      (try
+         let c, _ = Unix.accept lfd in
+         let hello = Bytes.create P.hello_len in
+         ignore (Unix.read c hello 0 P.hello_len);
+         write_all c (hello_at P.magic v ^ "\002") 0;
+         Unix.close c
+       with _ -> ());
+      Unix._exit 0
+  | pid ->
+      Unix.close lfd;
+      (pid, port)
+
+let single_version () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = Tutil.temp_dir "ode-proto" in
+  let pid, port, rport, _ = Server.spawn_full ~repl_port:0 ~db_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      List.iter
+        (fun v ->
+          with_fd (dial port) (fun fd ->
+              write_all fd (hello_at P.magic v) 0;
+              let got = read_to_eof fd in
+              Tutil.check_bool (Printf.sprintf "v%d answered Bad_version, then hung up" v) true
+                (got = P.hello_reply Bad_version)))
+        [ 2; 3; 5 ];
+      let c = Client.connect ~timeout:10. ~host:"127.0.0.1" ~port () in
+      Client.ping c;
+      Client.close c;
+      (* A standby at another version: the primary hangs up without a word. *)
+      let repl_hello = Buffer.create 16 in
+      P.encode_repl repl_hello (P.R_hello 0);
+      List.iter
+        (fun v ->
+          with_fd (dial rport) (fun fd ->
+              write_all fd (hello_at P.repl_magic v ^ Buffer.contents repl_hello) 0;
+              Tutil.check_string (Printf.sprintf "repl v%d refused" v) "" (read_to_eof fd)))
+        [ 3; 5 ];
+      with_fd (dial rport) (fun fd ->
+          write_all fd (P.repl_hello ^ Buffer.contents repl_hello) 0;
+          Tutil.check_bool "repl at our version answered" true
+            (Unix.read fd (Bytes.create 64) 0 64 > 0)));
+  Tutil.check_bool "own repl hello" true (P.parse_repl_hello P.repl_hello = Ok ());
+  List.iter
+    (fun v ->
+      Tutil.check_bool "other repl version" true
+        (Result.is_error (P.parse_repl_hello (hello_at P.repl_magic v))))
+    [ 2; 3; 5 ];
+  let fpid, fport = foreign_server 5 in
+  (match Client.connect ~timeout:10. ~host:"127.0.0.1" ~port:fport () with
+  | c ->
+      Client.close c;
+      Alcotest.fail "a version-5 server must be rejected"
+  | exception Client.Rejected msg ->
+      Tutil.check_string "names both versions"
+        (Printf.sprintf "protocol version mismatch (server 5, client %d)" P.version)
+        msg);
+  ignore (Unix.waitpid [] fpid);
+  (* The conflict reply round-trips under its own tag (4), not as an
+     ordinary error. *)
+  let b = Buffer.create 64 in
+  P.encode_response b { P.rs_id = 9; rs_lsn = 17; rs_reply = Err_conflict "root last" };
+  let rd = P.reader () in
+  P.feed rd (Buffer.to_bytes b) (Buffer.length b);
+  match P.next_frame rd with
+  | None -> Alcotest.fail "complete frame expected"
+  | Some body ->
+      Tutil.check_int "conflict tag" 4 (Char.code body.[4 + 8]);
+      Tutil.check_bool "conflict round trip" true
+        ((P.decode_response body).P.rs_reply = Err_conflict "root last")
 
 let reader_take () =
   let rd = P.reader () in
@@ -234,8 +298,7 @@ let suite =
         Alcotest.test_case "truncated frames wait or reject" `Quick truncated_frame;
         Alcotest.test_case "oversized frames rejected early" `Quick oversized_frame;
         Alcotest.test_case "garbage handshakes rejected" `Quick garbage_handshake;
-        Alcotest.test_case "version negotiation framing" `Quick version_negotiation;
-        Alcotest.test_case "conflict reply downgrade" `Quick conflict_downgrade;
+        Alcotest.test_case "single version handshake" `Quick single_version;
         Alcotest.test_case "reader take semantics" `Quick reader_take;
       ] );
   ]

@@ -535,6 +535,142 @@ let observability_endpoint () =
       Tutil.check_bool ".metrics json over the wire" true (contains mj "\"gauges\"");
       Client.close c)
 
+(* -- flow control on raw sockets ------------------------------------------ *)
+
+module P = Ode_served.Protocol
+
+let raw_socket port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* A small receive window keeps the kernel's share of an unread backlog
+     small, so the server's own reply buffer fills quickly. *)
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 65536;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* A client that pipelines queries with large replies and reads none of
+   them: once a MiB of replies is backed up, the server stops reading that
+   socket, so [server.bytes_in] freezes (only the control session's own
+   [.stats] requests still count) and the client's writes stall. Once the
+   client reads, every reply arrives, in request order. *)
+let backpressure_pipeline () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  ignore
+    (with_server (fun port ->
+         let control = connect port in
+         let big = String.make (128 * 1024) 'x' in
+         ignore
+           (Client.exec control
+              (Printf.sprintf "class blob { s: string; }; create cluster blob; pnew blob { s = %S };"
+                 big));
+         let fd = raw_socket port in
+         Fun.protect
+           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+           (fun () ->
+             ignore (Unix.write_substring fd P.hello 0 P.hello_len);
+             let reply = Bytes.create P.hello_reply_len in
+             Tutil.check_int "hello reply" P.hello_reply_len
+               (Unix.read fd reply 0 P.hello_reply_len);
+             Tutil.check_bool "accepted" true
+               (P.parse_hello_reply (Bytes.to_string reply) = Ok P.version);
+             Unix.set_nonblock fd;
+             let q = "forall x in blob" ^ String.make (64 * 1024) ' ' in
+             let frame id =
+               let b = Buffer.create (70 * 1024) in
+               P.encode_request b { P.rq_id = id; rq_trace = 0; rq_op = Query q };
+               Buffer.contents b
+             in
+             (* Write whole frames until the socket stays full for a second;
+                a frame cut short by the stall is never counted. *)
+             let max_frames = 1024 in
+             let sent = ref 0 and stalled = ref false in
+             while not !stalled do
+               if !sent >= max_frames then
+                 Alcotest.fail "server kept reading past its reply backlog cap";
+               let f = frame (!sent + 1) in
+               let rec go pos =
+                 if pos < String.length f then
+                   match Unix.write_substring fd f pos (String.length f - pos) with
+                   | n -> go (pos + n)
+                   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> (
+                       match Unix.select [] [ fd ] [] 1.0 with
+                       | _, [], _ -> stalled := true
+                       | _ -> go pos)
+               in
+               go 0;
+               if not !stalled then incr sent
+             done;
+             Tutil.check_bool "some requests went out" true (!sent > 0);
+             let bytes_in () =
+               match counter_value (Client.dot control ".stats") "server.bytes_in" with
+               | Some n -> n
+               | None -> Alcotest.fail "no server.bytes_in counter"
+             in
+             let stats_frame =
+               let b = Buffer.create 32 in
+               P.encode_request b { P.rq_id = 1; rq_trace = 1; rq_op = Dot ".stats" };
+               Buffer.length b
+             in
+             let b1 = bytes_in () in
+             Unix.sleepf 0.5;
+             let b2 = bytes_in () in
+             Tutil.check_int "only the control session is read" stats_frame (b2 - b1);
+             Unix.clear_nonblock fd;
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+             let rd = P.reader () in
+             let buf = Bytes.create 65536 in
+             let rec next () =
+               match P.next_frame rd with
+               | Some body -> P.decode_response body
+               | None ->
+                   let n = Unix.read fd buf 0 (Bytes.length buf) in
+                   if n = 0 then Alcotest.fail "server hung up mid-drain";
+                   P.feed rd buf n;
+                   next ()
+             in
+             for id = 1 to !sent do
+               let r = next () in
+               Tutil.check_int "reply order" id r.P.rs_id;
+               match r.P.rs_reply with
+               | Rows [ row ] ->
+                   Tutil.check_bool "whole row" true (String.length row > String.length big)
+               | _ -> Alcotest.failf "reply %d is not the one blob row" id
+             done);
+         Client.close control))
+
+(* A metrics request longer than the HTTP cap is dropped without an
+   answer; the endpoint keeps serving the next scrape. *)
+let metrics_request_cap () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = Tutil.temp_dir "ode-served" in
+  let pid, _, _, mport = Server.spawn_full ~metrics_port:0 ~db_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      let fd = raw_socket mport in
+      let got =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            let rq = "GET /" ^ String.make 9000 'a' ^ " HTTP/1.0\r\n\r\n" in
+            (try ignore (Unix.write_substring fd rq 0 (String.length rq))
+             with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ());
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+            let buf = Bytes.create 4096 in
+            let rec drain acc =
+              match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> acc
+              | n -> drain (acc + n)
+              | exception Unix.Unix_error (EINTR, _, _) -> drain acc
+              | exception Unix.Unix_error (ECONNRESET, _, _) -> acc
+            in
+            drain 0)
+      in
+      Tutil.check_int "oversized request unanswered" 0 got;
+      Tutil.check_bool "next scrape answered" true
+        (contains (http_get mport "/health") "\"role\":\"primary\""))
+
 let suite =
   [
     ( "server",
@@ -553,5 +689,8 @@ let suite =
           reader_domains_e2e;
         Alcotest.test_case "metrics endpoint, health, slow-query log" `Quick
           observability_endpoint;
+        Alcotest.test_case "unread replies stop reads at the backlog cap" `Quick
+          backpressure_pipeline;
+        Alcotest.test_case "oversized metrics request dropped" `Quick metrics_request_cap;
       ] );
   ]

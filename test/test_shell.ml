@@ -154,6 +154,28 @@ let shell_vars_tracked () =
     (match List.assoc_opt "q" vars with Some (Ode_model.Value.Ref _) -> true | _ -> false);
   Db.close db
 
+(* A runtime error is rendered without a prefix of its own, so the shell
+   (locally) and the remote client (over the wire) each print "error: "
+   exactly once. *)
+let eval_error_prefixed_once () =
+  let script =
+    "class p { a: int; }; create cluster p; pnew p { a = 1 }; forall x in p { print x.b; };"
+  in
+  let expected = "object #0:0 has no field b" in
+  (match session script with
+  | Error msg, _ -> Tutil.check_string "local" expected msg
+  | Ok (), _ -> Alcotest.fail "expected an error");
+  let db = Db.open_in_memory () in
+  let s = Ode_served.Session.create db in
+  (match
+     (Ode_served.Session.handle s { rq_id = 1; rq_trace = 0; rq_op = Exec script })
+       .rs_reply
+   with
+  | Error msg -> Tutil.check_string "wire" expected msg
+  | _ -> Alcotest.fail "expected an error reply");
+  Ode_served.Session.close s;
+  Db.close db
+
 let bank_script_runs () =
   let path = "../examples/scripts/bank.oql" in
   if not (Sys.file_exists path) then Alcotest.skip ()
@@ -187,5 +209,6 @@ let suite =
         Alcotest.test_case "show classes" `Quick show_classes;
         Alcotest.test_case "shell variables tracked" `Quick shell_vars_tracked;
         Alcotest.test_case "bank.oql example script" `Quick bank_script_runs;
+        Alcotest.test_case "runtime error prefixed once" `Quick eval_error_prefixed_once;
       ] );
   ]
