@@ -158,11 +158,12 @@ let garbage_handshake () =
   Tutil.check_bool "long hello" true (Result.is_error (P.parse_hello (P.hello ^ "x")));
   Tutil.check_bool "short reply" true (Result.is_error (P.parse_hello_reply "ODEP"))
 
-(* There is one protocol version. A client hello at any other version gets
-   a [Bad_version] reply and a hang-up; a client meeting a server of
-   another version is rejected with both versions named; a standby hello
-   at another version is refused; and the conflict reply keeps its own
-   tag on the wire. *)
+(* There is one protocol version, so negotiation is all-or-nothing. A
+   client hello at any other version gets a [Bad_version] reply and a
+   hang-up; a client meeting a server of another version is rejected with
+   both versions named; a standby hello at another version is refused. A
+   frame carries the trace id, and the strict trailing-bytes check rejects
+   a frame with bytes left over rather than misreading it. *)
 let hello_at magic v =
   let b = Buffer.create 8 in
   Buffer.add_string b magic;
@@ -218,7 +219,7 @@ let foreign_server v =
       Unix.close lfd;
       (pid, port)
 
-let single_version () =
+let version_negotiation () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let dir = Tutil.temp_dir "ode-proto" in
   let pid, port, rport, _ = Server.spawn_full ~repl_port:0 ~db_dir:dir () in
@@ -267,8 +268,23 @@ let single_version () =
         (Printf.sprintf "protocol version mismatch (server 5, client %d)" P.version)
         msg);
   ignore (Unix.waitpid [] fpid);
-  (* The conflict reply round-trips under its own tag (4), not as an
-     ordinary error. *)
+  let rq = { P.rq_id = 42; rq_trace = 0xbeef; rq_op = Exec "print 1;" } in
+  let b = Buffer.create 64 in
+  P.encode_request b rq;
+  let rd = P.reader () in
+  P.feed rd (Buffer.to_bytes b) (Buffer.length b);
+  match P.next_frame rd with
+  | None -> Alcotest.fail "complete frame expected"
+  | Some body ->
+      Tutil.check_bool "request round trip with trace id" true (P.decode_request body = rq);
+      Tutil.check_bool "trailing byte rejected" true
+        (match P.decode_request (body ^ "\000") with
+        | _ -> false
+        | exception Codec.Corrupt _ -> true)
+
+(* No downgrade: the conflict reply round-trips under its own tag (4), not
+   as an ordinary error with a "conflict: " prefix. *)
+let conflict_downgrade () =
   let b = Buffer.create 64 in
   P.encode_response b { P.rs_id = 9; rs_lsn = 17; rs_reply = Err_conflict "root last" };
   let rd = P.reader () in
@@ -298,7 +314,8 @@ let suite =
         Alcotest.test_case "truncated frames wait or reject" `Quick truncated_frame;
         Alcotest.test_case "oversized frames rejected early" `Quick oversized_frame;
         Alcotest.test_case "garbage handshakes rejected" `Quick garbage_handshake;
-        Alcotest.test_case "single version handshake" `Quick single_version;
+        Alcotest.test_case "version negotiation framing" `Quick version_negotiation;
+        Alcotest.test_case "conflict reply downgrade" `Quick conflict_downgrade;
         Alcotest.test_case "reader take semantics" `Quick reader_take;
       ] );
   ]
