@@ -192,28 +192,13 @@ let dot_help =
   \  .read FILE            execute a script file\n\
   \  .quit                 leave the shell"
 
-(* [.explain]/[.profile] take a forall query with or without a body:
-   `forall x in c suchthat e { ... }` parses as a statement, a bodiless
-   `forall x in c suchthat e` via the `explain` production. *)
+(* [.explain]/[.profile] take a forall query with or without a body. *)
 let parse_forall rest =
   let rest = String.trim rest in
   if rest = "" then failwith "expected a forall query (see .help)";
-  let src = if String.length rest > 0 && rest.[String.length rest - 1] = ';' then rest else rest ^ ";" in
-  let as_forall = function
-    | [ Ast.TExplain f ] -> Some f
-    | [ Ast.TStmt (Ast.SForall f) ] -> Some f
-    | _ -> None
-  in
-  let try_parse s = match Ode_lang.Parser.program s with
-    | tops -> as_forall tops
-    | exception _ -> None
-  in
-  match try_parse src with
-  | Some f -> f
-  | None -> (
-      match try_parse ("explain " ^ src) with
-      | Some f -> f
-      | None -> failwith "expected: forall x in C [suchthat e] [by e [desc]] [{ body }]")
+  match Ode_lang.Parser.forall_query rest with
+  | f -> f
+  | exception _ -> failwith "expected: forall x in C [suchthat e] [by e [desc]] [{ body }]"
 
 (* A row-returning query (the server's [Query] opcode): a bodiless forall,
    each qualifying object rendered as one row. Runs inside the open explicit

@@ -38,34 +38,36 @@ let node_size = function
   | Internal n ->
       Array.fold_left (fun acc k -> acc + 2 + String.length k + 4) 7 n.keys
 
-let serialize node =
-  let b = Buffer.create 512 in
-  (match node with
-  | Leaf l ->
-      Codec.put_u8 b 0;
-      Codec.put_u16 b (Array.length l.entries);
-      Codec.put_u32 b l.next;
-      Array.iter
-        (fun (k, v) ->
-          Codec.put_u16 b (String.length k);
-          Codec.put_raw b k;
-          Codec.put_u16 b (String.length v);
-          Codec.put_raw b v)
-        l.entries
-  | Internal n ->
-      Codec.put_u8 b 1;
-      Codec.put_u16 b (Array.length n.keys);
-      Codec.put_u32 b n.children.(0);
-      Array.iteri
-        (fun i k ->
-          Codec.put_u16 b (String.length k);
-          Codec.put_raw b k;
-          Codec.put_u32 b n.children.(i + 1))
-        n.keys);
-  Buffer.contents b
+(* Frame layout: [u16 size][node], the node encoded as
+   [u8 kind][u16 count][u32 next | first child] followed by the entries
+   ([u16 klen][key][u16 vlen][value] in a leaf, [u16 klen][key][u32 child]
+   in an internal node). [encode] writes it straight into the page. *)
+let put_string data off s =
+  Bytes.set_uint16_le data off (String.length s);
+  Bytes.blit_string s 0 data (off + 2) (String.length s);
+  off + 2 + String.length s
 
-let deserialize s =
-  let c = Codec.cursor s in
+let put_u32 data off n =
+  Bytes.set_int32_le data off (Int32.of_int n);
+  off + 4
+
+let encode data size node =
+  Bytes.set_uint16_le data 0 size;
+  match node with
+  | Leaf l ->
+      Bytes.set_uint8 data 2 0;
+      Bytes.set_uint16_le data 3 (Array.length l.entries);
+      ignore (put_u32 data 5 l.next);
+      ignore
+        (Array.fold_left (fun off (k, v) -> put_string data (put_string data off k) v) 9 l.entries)
+  | Internal n ->
+      Bytes.set_uint8 data 2 1;
+      Bytes.set_uint16_le data 3 (Array.length n.keys);
+      ignore (put_u32 data 5 n.children.(0));
+      let off = ref 9 in
+      Array.iteri (fun i k -> off := put_u32 data (put_string data !off k) n.children.(i + 1)) n.keys
+
+let decode c =
   match Codec.get_u8 c with
   | 0 ->
       let n = Codec.get_u16 c in
@@ -106,10 +108,10 @@ let read_node t page =
                 page (Pool.page_count t.pool)));
       let n =
         Pool.with_page t.pool page (fun f ->
-            let data = Pool.data f in
-            let c = Codec.cursor (Bytes.to_string data) in
-            let len = Codec.get_u16 c in
-            deserialize (Codec.get_raw c len))
+            (* Decoded under the pin; the cursor never outlives it. *)
+            let data = Bytes.unsafe_to_string (Pool.data f) in
+            let size = Codec.get_u16 (Codec.cursor data) in
+            decode (Codec.cursor ~pos:2 ~len:size data))
       in
       Mutex.protect t.cache_mu (fun () ->
           if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
@@ -117,15 +119,12 @@ let read_node t page =
       n
 
 let write_node t page node =
-  let s = serialize node in
-  assert (String.length s <= node_capacity);
+  (* Checked before any byte is written: the page's checksum trailer lies
+     just past [node_capacity]. *)
+  let size = node_size node in
+  assert (size <= node_capacity);
   Pool.with_page t.pool page (fun f ->
-      let data = Pool.data f in
-      let b = Buffer.create (String.length s + 2) in
-      Codec.put_u16 b (String.length s);
-      Codec.put_raw b s;
-      let out = Buffer.contents b in
-      Bytes.blit_string out 0 data 0 (String.length out);
+      encode (Pool.data f) size node;
       Pool.mark_dirty t.pool f);
   Mutex.protect t.cache_mu (fun () ->
       if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
@@ -145,10 +144,8 @@ let write_header t =
       let data = Pool.data f in
       Bytes.fill data 0 Ode_storage.Page.size '\000';
       Bytes.blit_string magic 0 data 0 8;
-      let b = Buffer.create 16 in
-      Codec.put_u32 b t.root;
-      Codec.put_i64 b (Int64.of_int t.count);
-      Bytes.blit_string (Buffer.contents b) 0 data 8 12;
+      ignore (put_u32 data 8 t.root);
+      Bytes.set_int64_le data 12 (Int64.of_int t.count);
       Pool.mark_dirty t.pool f)
 
 let attach pool =

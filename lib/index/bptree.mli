@@ -69,6 +69,11 @@ val pool : t -> Ode_storage.Buffer_pool.t
 val flush : t -> unit
 val max_entry : int
 
+val node_capacity : int
+(** Largest encoded node, in bytes; a node that would grow past it splits.
+    A page holds [u16 size][node], and the page checksum trailer starts
+    right after the largest such frame. *)
+
 val check : t -> (unit, string) result
 (** Structural check: key order within and across nodes, separator
     consistency, leaf chain completeness. For tests. *)

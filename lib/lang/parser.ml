@@ -532,6 +532,16 @@ let program src =
   let rec go acc = if peek st = Lexer.EOF then List.rev acc else go (top st :: acc) in
   go []
 
+let forall_query src =
+  let st = make_state src in
+  ignore (accept_kw st "explain");
+  expect_kw st "forall";
+  let head = forall_head st in
+  let q_body = if peek st = Lexer.PUNCT "{" then block st else [] in
+  ignore (accept_punct st ";");
+  if peek st <> Lexer.EOF then err st "trailing input after forall query";
+  { head with q_body }
+
 let expr src =
   let st = make_state src in
   let e = expression st in

@@ -19,6 +19,11 @@ exception Parse_error of string * int
 val program : string -> Ast.top list
 (** Parse a whole input (shell script / schema file). *)
 
+val forall_query : string -> Ast.forall
+(** Parse one forall query, with or without a body and a final [;]
+    ([explain] may lead it): the argument of the shell's [.explain] and
+    [.profile] and of the server's [Query] request. *)
+
 val expr : string -> Ast.expr
 (** Parse a single expression (used for stored constraints). *)
 

@@ -108,36 +108,43 @@ let flush_dirty t =
               unlock_all t;
               raise e))
 
-(* Make room inside one stripe, caller holding its lock. Returns false when
-   only a global flush can help (every unpinned frame is dirty). *)
+(* Make room inside one stripe, caller holding its lock, and return the
+   buffer the new frame will use: the evicted frame's when the stripe was
+   full (clean and unpinned, and now out of the stripe, so no one else can
+   reach it), a fresh one otherwise. [None] when only a global flush can
+   help (every unpinned frame is dirty). *)
 let make_room_local s =
   if Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames then
     match Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0 && not f.dirty) with
-    | Some _ -> true
-    | None -> false
-  else true
+    | Some (_, f) -> Some f.buf
+    | None -> None
+  else Some (Bytes.create Page.size)
 
 (* Slow path: the stripe was full of dirty/pinned frames. Drop the stripe
-   lock, flush everything clean (one journalled batch), retake the lock and
-   evict. Prefers a clean victim even after the flush in case a concurrent
-   pin dirtied something again. *)
-let make_room_flushing t s =
-  if not (make_room_local s) then begin
-    (match Failpoint.hit fp_evict with
-    | Some Failpoint.Crash_site -> Failpoint.crash fp_evict
-    | Some _ | None -> ());
-    Ode_util.Trace.instant ~cat:"pool" "pool.evict";
-    Mutex.unlock s.mu;
-    (match flush_dirty t with
-    | _ -> Mutex.lock s.mu
-    | exception e ->
-        Mutex.lock s.mu;
-        raise e);
-    if Ode_util.Lru.length s.frames >= Ode_util.Lru.capacity s.frames then
-      match Ode_util.Lru.evict s.frames (fun _ f -> f.pins = 0) with
-      | Some _ -> ()
-      | None -> raise Pool_exhausted
-  end
+   lock, flush everything (one journalled batch), retake the lock and try
+   again. A concurrent pin may have dirtied a frame meanwhile, so the
+   victim must still be clean: a dirty frame left unpinned means flush
+   again; with every frame pinned the pool is exhausted. *)
+let rec make_room_flushing t s =
+  match make_room_local s with
+  | Some buf -> buf
+  | None ->
+      (match Failpoint.hit fp_evict with
+      | Some Failpoint.Crash_site -> Failpoint.crash fp_evict
+      | Some _ | None -> ());
+      Ode_util.Trace.instant ~cat:"pool" "pool.evict";
+      Mutex.unlock s.mu;
+      (match flush_dirty t with
+      | _ -> Mutex.lock s.mu
+      | exception e ->
+          Mutex.lock s.mu;
+          raise e);
+      match make_room_local s with
+      | Some buf -> buf
+      | None ->
+          let unpinned = ref false in
+          Ode_util.Lru.iter s.frames (fun _ f -> if f.pins = 0 then unpinned := true);
+          if !unpinned then make_room_flushing t s else raise Pool_exhausted
 
 let pin t n =
   let s = stripe_of t n in
@@ -150,7 +157,7 @@ let pin t n =
       | None -> (
           Ode_util.Stats.incr_pool_misses ();
           Ode_util.Trace.instant ~cat:"pool" "pool.miss";
-          make_room_flushing t s;
+          let buf = make_room_flushing t s in
           (* The stripe lock was dropped during a flush: another domain may
              have loaded the page meanwhile. *)
           match Ode_util.Lru.find s.frames n with
@@ -158,7 +165,7 @@ let pin t n =
               f.pins <- f.pins + 1;
               f
           | None ->
-              let buf = Disk.read t.disk n in
+              Disk.read_into t.disk n buf;
               let f = { no = n; buf; pins = 1; dirty = false } in
               Ode_util.Lru.add s.frames n f;
               f))
@@ -181,8 +188,8 @@ let allocate t =
   let n = Disk.allocate t.disk in
   let s = stripe_of t n in
   Mutex.protect s.mu (fun () ->
-      make_room_flushing t s;
-      let buf = Disk.read t.disk n in
+      let buf = make_room_flushing t s in
+      Disk.read_into t.disk n buf;
       let f = { no = n; buf; pins = 1; dirty = false } in
       Ode_util.Lru.add s.frames n f;
       f)

@@ -111,18 +111,22 @@ let faulted_write site fd buf off = function
 
 let journal_magic = "ODEDWJ01"
 
+(* The image is built once, at its exact size, and hashed in place. *)
 let encode_journal batch =
-  let b = Buffer.create (List.length batch * (Page.size + 4) + 32) in
-  Codec.put_raw b journal_magic;
-  Codec.put_u32 b (List.length batch);
+  let magic_len = String.length journal_magic in
+  let body_len = magic_len + 4 + (List.length batch * (4 + Page.size)) in
+  let image = Bytes.create (body_len + 8) in
+  Bytes.blit_string journal_magic 0 image 0 magic_len;
+  Bytes.set_int32_le image magic_len (Int32.of_int (List.length batch));
+  let off = ref (magic_len + 4) in
   List.iter
     (fun (no, page) ->
-      Codec.put_u32 b no;
-      Buffer.add_bytes b page)
+      Bytes.set_int32_le image !off (Int32.of_int no);
+      Bytes.blit page 0 image (!off + 4) Page.size;
+      off := !off + 4 + Page.size)
     batch;
-  let body = Buffer.contents b in
-  Codec.put_i64 b (Codec.fnv64 body);
-  Buffer.to_bytes b
+  Bytes.set_int64_le image body_len (Codec.fnv64_bytes image ~pos:0 ~len:body_len);
+  image
 
 let decode_journal data =
   let len = String.length data in
@@ -140,7 +144,7 @@ let decode_journal data =
       done;
       let body_len = Codec.pos c in
       let sum = Codec.get_i64 c in
-      if sum <> Codec.fnv64 (String.sub data 0 body_len) then None
+      if sum <> Codec.fnv64_bytes (Bytes.unsafe_of_string data) ~pos:0 ~len:body_len then None
       else Some (List.rev !batch)
     with
     | v -> v

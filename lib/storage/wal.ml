@@ -41,7 +41,8 @@ type sink =
    sidecar (lost or crashed truncation) back to the true count. *)
 type t = {
   sink : sink;
-  pending : Buffer.t;
+  mutable pending : bytes; (* frames appended since the last sync: the first [pending_len] bytes *)
+  mutable pending_len : int;
   mutable pending_commits : int;
   mutable last_lsn : int;
   mutable durable_lsn : int;
@@ -50,41 +51,49 @@ type t = {
   mutable on_sync : (data:string -> from_lsn:int -> to_lsn:int -> unit) option;
 }
 
-(* -- record codec -------------------------------------------------------- *)
+(* -- record codec --------------------------------------------------------
+   Body: [u8 tag][i64 xid | lsn] then, per tag, [i64 trace][i64 cts] (Commit;
+   an optional suffix), [u32 len][key][u32 len][payload] (Put) or
+   [u32 len][key] (Delete). Bodies are encoded straight into the pending
+   frame buffer, so their size is computed first. *)
 
-let encode_record r =
-  let b = Buffer.create 64 in
-  (match r with
-  | Begin tx ->
-      Codec.put_u8 b 1;
-      Codec.put_int b tx
+let body_size = function
+  | Begin _ | Checkpoint _ -> 9
+  | Commit (_, trace, cts) -> if cts <> 0 then 25 else if trace <> 0 then 17 else 9
+  | Put (_, k, v) -> 17 + String.length k + String.length v
+  | Delete (_, k) -> 13 + String.length k
+
+let set_int b off n =
+  Bytes.set_int64_le b off (Int64.of_int n);
+  off + 8
+
+let set_string b off s =
+  Bytes.set_int32_le b off (Int32.of_int (String.length s));
+  Bytes.blit_string s 0 b (off + 4) (String.length s);
+  off + 4 + String.length s
+
+(* Write [r]'s body ([body_size r] bytes) at [off] in [b]. *)
+let encode_body b off r =
+  let tag = match r with Begin _ -> 1 | Commit _ -> 2 | Put _ -> 3 | Delete _ -> 4 | Checkpoint _ -> 5 in
+  Bytes.set_uint8 b off tag;
+  let off = off + 1 in
+  match r with
+  | Begin tx -> ignore (set_int b off tx)
   | Commit (tx, trace, cts) ->
-      Codec.put_u8 b 2;
-      Codec.put_int b tx;
+      let off = set_int b off tx in
       (* The optional-suffix discipline: trace and commit-ts ride only when
          the commit-ts is present (it always is for records written by this
          version), so a standby re-logging the same records produces
          byte-identical files (E21 diffs them) and old logs still decode. *)
       if cts <> 0 || trace <> 0 then begin
-        Codec.put_int b trace;
-        if cts <> 0 then Codec.put_int b cts
+        let off = set_int b off trace in
+        if cts <> 0 then ignore (set_int b off cts)
       end
-  | Put (tx, k, v) ->
-      Codec.put_u8 b 3;
-      Codec.put_int b tx;
-      Codec.put_string b k;
-      Codec.put_string b v
-  | Delete (tx, k) ->
-      Codec.put_u8 b 4;
-      Codec.put_int b tx;
-      Codec.put_string b k
-  | Checkpoint lsn ->
-      Codec.put_u8 b 5;
-      Codec.put_int b lsn);
-  Buffer.contents b
+  | Put (tx, k, v) -> ignore (set_string b (set_string b (set_int b off tx) k) v)
+  | Delete (tx, k) -> ignore (set_string b (set_int b off tx) k)
+  | Checkpoint lsn -> ignore (set_int b off lsn)
 
-let decode_record s =
-  let c = Codec.cursor s in
+let decode c =
   match Codec.get_u8 c with
   | 1 -> Begin (Codec.get_int c)
   | 2 ->
@@ -107,33 +116,36 @@ let decode_record s =
       Checkpoint (if Codec.at_end c then 0 else Codec.get_int c)
   | n -> raise (Codec.Corrupt (Printf.sprintf "wal: bad tag %d" n))
 
-(* -- framing ------------------------------------------------------------- *)
+(* -- framing -------------------------------------------------------------
+   A frame is [u32 body length][i64 fnv64 of the body][body]. [intact_frame]
+   checks the frame at [off] in [contents] and returns its body length, or
+   -1 when the frame is torn or fails its checksum. *)
 
-let frame body =
-  let b = Buffer.create (String.length body + 12) in
-  Codec.put_u32 b (String.length body);
-  Codec.put_i64 b (Codec.fnv64 body);
-  Codec.put_raw b body;
-  Buffer.contents b
+let intact_frame contents off =
+  let len = String.length contents in
+  if off + 12 > len then -1
+  else
+    let c = Codec.cursor ~pos:off contents in
+    let blen = Codec.get_u32 c in
+    if off + 12 + blen > len then -1
+    else if
+      Codec.get_i64 c
+      <> Codec.fnv64_bytes (Bytes.unsafe_of_string contents) ~pos:(off + 12) ~len:blen
+    then -1
+    else blen
+
+let frame_record contents off blen = decode (Codec.cursor ~pos:(off + 12) ~len:blen contents)
 
 (* Scan intact frames from [contents], calling [f] on each decoded record;
    returns the byte offset just past the last intact frame. *)
 let scan contents f =
-  let len = String.length contents in
   let rec go off =
-    if off + 12 > len then off
-    else
-      let c = Codec.cursor ~pos:off contents in
-      let blen = Codec.get_u32 c in
-      if off + 12 + blen > len then off
-      else
-        let sum = Codec.get_i64 c in
-        let body = Codec.get_raw c blen in
-        if Codec.fnv64 body <> sum then off
-        else begin
-          (match f with Some fn -> fn (decode_record body) | None -> ());
-          go (off + 12 + blen)
-        end
+    let blen = intact_frame contents off in
+    if blen < 0 then off
+    else begin
+      (match f with Some fn -> fn (frame_record contents off blen) | None -> ());
+      go (off + 12 + blen)
+    end
   in
   go 0
 
@@ -208,7 +220,8 @@ let open_file path =
   let lsn = lsn_after_scan ~base (String.sub contents 0 intact) in
   {
     sink = File { fd; wpos = intact };
-    pending = Buffer.create 4096;
+    pending = Bytes.create 4096;
+    pending_len = 0;
     pending_commits = 0;
     last_lsn = lsn;
     durable_lsn = lsn;
@@ -220,7 +233,8 @@ let open_file path =
 let in_memory () =
   {
     sink = Memory (Buffer.create 4096);
-    pending = Buffer.create 4096;
+    pending = Bytes.create 4096;
+    pending_len = 0;
     pending_commits = 0;
     last_lsn = 0;
     durable_lsn = 0;
@@ -237,7 +251,18 @@ let append t r =
       t.pending_commits <- t.pending_commits + 1;
       t.last_lsn <- t.last_lsn + 1
   | _ -> ());
-  Buffer.add_string t.pending (frame (encode_record r))
+  let blen = body_size r in
+  let off = t.pending_len in
+  let need = off + 12 + blen in
+  if need > Bytes.length t.pending then begin
+    let bigger = Bytes.create (max need (2 * Bytes.length t.pending)) in
+    Bytes.blit t.pending 0 bigger 0 off;
+    t.pending <- bigger
+  end;
+  encode_body t.pending (off + 12) r;
+  Bytes.set_int32_le t.pending off (Int32.of_int blen);
+  Bytes.set_int64_le t.pending (off + 4) (Codec.fnv64_bytes t.pending ~pos:(off + 12) ~len:blen);
+  t.pending_len <- need
 
 let pending_commits t = t.pending_commits
 let last_lsn t = t.last_lsn
@@ -258,8 +283,7 @@ let write_fully fd bytes pos len =
 (* Append [bytes] at the write cursor, interpreting an armed wal.sync fault:
    a short or bit-flipped batch models a torn log tail (then dies); a skipped
    batch models a lying disk that acks without persisting (and lives on). *)
-let faulted_append f bytes =
-  let len = Bytes.length bytes in
+let faulted_append f bytes len =
   ignore (Unix.lseek f.fd f.wpos Unix.SEEK_SET);
   match Failpoint.hit fp_sync with
   | None ->
@@ -288,12 +312,12 @@ let sync t =
   Stats.incr_wal_syncs ();
   Ode_util.Histogram.time h_sync (fun () ->
       Ode_util.Trace.with_span ~cat:"wal" "wal.sync" (fun () ->
-          let data = Buffer.contents t.pending in
-          Buffer.clear t.pending;
+          let len = t.pending_len in
+          t.pending_len <- 0;
           (match t.sink with
-          | Memory b -> Buffer.add_string b data
+          | Memory b -> Buffer.add_subbytes b t.pending 0 len
           | File f -> (
-              if String.length data > 0 then faulted_append f (Bytes.of_string data);
+              if len > 0 then faulted_append f t.pending len;
               match Failpoint.hit fp_fsync with
               | Some Failpoint.Skip_effect -> ()
               | Some Failpoint.Crash_site -> Failpoint.crash fp_fsync
@@ -311,8 +335,8 @@ let sync t =
           (* Ship the batch only now that it is durable here: a replica can
              never hold records its primary could still lose. *)
           match t.on_sync with
-          | Some notify when String.length data > 0 ->
-              notify ~data ~from_lsn ~to_lsn:t.durable_lsn
+          | Some notify when len > 0 ->
+              notify ~data:(Bytes.sub_string t.pending 0 len) ~from_lsn ~to_lsn:t.durable_lsn
           | _ -> ()))
 
 let contents t =
@@ -341,29 +365,20 @@ let tail_from t ~lsn =
     let cut = ref (if lsn = t.base_lsn then Some 0 else None) in
     let cur = ref t.base_lsn in
     let rec go off =
-      if off + 12 > len then ()
-      else
-        let c = Codec.cursor ~pos:off contents in
-        let blen = Codec.get_u32 c in
-        if off + 12 + blen > len then ()
-        else begin
-          let sum = Codec.get_i64 c in
-          let body = Codec.get_raw c blen in
-          if Codec.fnv64 body <> sum then ()
-          else begin
-            (match decode_record body with
-            | Commit _ -> incr cur
-            | Checkpoint l ->
-                if l <> !cur then begin
-                  cut := None;
-                  cur := l
-                end
-            | _ -> ());
-            let after = off + 12 + blen in
-            if !cut = None && !cur = lsn then cut := Some after;
-            go after
-          end
-        end
+      let blen = intact_frame contents off in
+      if blen >= 0 then begin
+        (match frame_record contents off blen with
+        | Commit _ -> incr cur
+        | Checkpoint l ->
+            if l <> !cur then begin
+              cut := None;
+              cur := l
+            end
+        | _ -> ());
+        let after = off + 12 + blen in
+        if !cut = None && !cur = lsn then cut := Some after;
+        go after
+      end
     in
     go 0;
     match !cut with
@@ -372,7 +387,7 @@ let tail_from t ~lsn =
   end
 
 let reset t =
-  Buffer.clear t.pending;
+  t.pending_len <- 0;
   t.pending_commits <- 0;
   match t.sink with
   | Memory b ->
@@ -409,6 +424,6 @@ let reset t =
 
 let size_bytes t =
   (match t.sink with Memory b -> Buffer.length b | File f -> f.wpos)
-  + Buffer.length t.pending
+  + t.pending_len
 
 let close t = match t.sink with Memory _ -> () | File f -> Unix.close f.fd

@@ -104,12 +104,7 @@ val close : t -> unit
 
 (**/**)
 
-val encode_record : record -> string
-val decode_record : string -> record
 val scan : string -> (record -> unit) option -> int
 (** Exposed for the replication layer: iterate the intact frames of a raw
     batch (as delivered to the {!set_on_sync} observer), returning the byte
     offset past the last intact frame. *)
-
-val frame : string -> string
-(** Frame one encoded record body (length + checksum + body). *)

@@ -27,11 +27,18 @@ let put_raw b s = Buffer.add_string b s
 
 (* -- decoding ---------------------------------------------------------- *)
 
-type cursor = { src : string; mutable p : int }
+type cursor = { src : string; mutable p : int; stop : int }
 
-let cursor ?(pos = 0) src = { src; p = pos }
+let cursor ?(pos = 0) ?len src =
+  match len with
+  | None -> { src; p = pos; stop = String.length src }
+  | Some n ->
+      if n < 0 || pos + n > String.length src then
+        corrupt "codec: %d-byte window at %d overruns %d bytes" n pos (String.length src);
+      { src; p = pos; stop = pos + n }
+
 let pos c = c.p
-let remaining c = String.length c.src - c.p
+let remaining c = c.stop - c.p
 let at_end c = remaining c <= 0
 
 let need c n =
@@ -81,16 +88,10 @@ let get_string c =
 
 (* -- checksums --------------------------------------------------------- *)
 
-let fnv64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun ch ->
-      h := Int64.logxor !h (Int64.of_int (Char.code ch));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
+(* An index loop: the [int64 ref] never escapes, so the native compiler
+   keeps it unboxed and hashing allocates nothing per byte. A closure
+   capturing it (as [String.iter] needs) would box every intermediate
+   value. *)
 let fnv64_bytes b ~pos ~len =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
@@ -99,3 +100,5 @@ let fnv64_bytes b ~pos ~len =
     h := Int64.mul !h prime
   done;
   !h
+
+let fnv64 s = fnv64_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -37,7 +37,11 @@ val put_raw : Buffer.t -> string -> unit
 type cursor
 (** A read position within an immutable string. *)
 
-val cursor : ?pos:int -> string -> cursor
+val cursor : ?pos:int -> ?len:int -> string -> cursor
+(** [cursor ~pos ~len src] reads [src] from [pos] (default 0); with [len]
+    it stops [len] bytes later, as if the string ended there. Raises
+    {!Corrupt} when that window runs past the end of [src]. *)
+
 val pos : cursor -> int
 val remaining : cursor -> int
 val at_end : cursor -> bool
@@ -55,8 +59,8 @@ val get_raw : cursor -> int -> string
 (** {1 Checksums} *)
 
 val fnv64 : string -> int64
-(** FNV-1a 64-bit hash, used as a WAL record checksum. *)
+(** FNV-1a 64-bit hash, used as a WAL record checksum. Allocates nothing. *)
 
 val fnv64_bytes : bytes -> pos:int -> len:int -> int64
-(** Same hash over a byte-buffer slice, without copying. Used for page
-    checksums where the page image lives in a reusable [bytes]. *)
+(** Same hash over a byte-buffer slice, hashed in place. Used for page and
+    journal checksums and WAL frames, whose images live in [bytes]. *)

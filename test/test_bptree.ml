@@ -101,6 +101,71 @@ let persistence () =
   assert_ok t2;
   Disk.close d2
 
+(* A leaf whose encoding is exactly [node_capacity] bytes still fits its
+   page: it survives a flush and reopen with a valid page checksum, and
+   only the next entry splits it. *)
+let exact_capacity_leaf () =
+  let dir = Tutil.temp_dir "bpt" in
+  let path = Filename.concat dir "t.bpt" in
+  let d = Disk.open_file path in
+  let t = Bptree.attach (Pool.create ~capacity:8 d) in
+  (* Leaf header: u8 kind, u16 count, u32 next; each entry u16+key+u16+value. *)
+  let n = 4 and budget = Bptree.node_capacity - 7 in
+  let entries =
+    List.init n (fun i ->
+        let k = Printf.sprintf "k%d" i in
+        let size = (budget / n) + if i = 0 then budget mod n else 0 in
+        (k, String.make (size - 4 - String.length k) (Char.chr (Char.code 'a' + i))))
+  in
+  List.iter (fun (k, v) -> Bptree.insert t k v) entries;
+  Tutil.check_int "one full leaf" 1 (Bptree.height t);
+  Bptree.flush t;
+  Disk.close d;
+  let d2 = Disk.open_file path in
+  (* A bad leaf checksum would have trimmed the page at open, or raises here. *)
+  Tutil.check_int "no page trimmed" 2 (Disk.page_count d2);
+  for page = 0 to Disk.page_count d2 - 1 do
+    ignore (Disk.read d2 page)
+  done;
+  let t2 = Bptree.attach (Pool.create ~capacity:8 d2) in
+  Tutil.check_int "still one leaf" 1 (Bptree.height t2);
+  let all_found entries =
+    List.iter (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (Bptree.find t2 k)) entries
+  in
+  all_found entries;
+  Bptree.insert t2 "k9" "z";
+  Tutil.check_int "one more entry splits" 2 (Bptree.height t2);
+  all_found (("k9", "z") :: entries);
+  assert_ok t2;
+  Disk.close d2
+
+let hex b = String.concat "" (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* The bytes of page [page] up to the end of its node frame ([u16 size] +
+   node), or the first [len] bytes. *)
+let page_hex ?len t page =
+  Pool.with_page (Bptree.pool t) page (fun f ->
+      let data = Pool.data f in
+      let len = match len with Some n -> n | None -> 2 + Bytes.get_uint16_le data 0 in
+      hex (Bytes.sub data 0 len))
+
+(* The node page format, pinned byte for byte. *)
+let node_frames_pinned () =
+  let t = mk () in
+  Bptree.insert t "bc" "22";
+  Bptree.insert t "a" "1";
+  Tutil.check_string "leaf frame"
+    ("1500" ^ "00" ^ "0200" ^ "00000000" ^ "0100" ^ "61" ^ "0100" ^ "31" ^ "0200" ^ "6263" ^ "0200" ^ "3232")
+    (page_hex t 1);
+  let t = mk () in
+  List.iter (fun k -> Bptree.insert t k (String.make 1000 'v')) [ "k1"; "k2"; "k3"; "k4"; "k5" ];
+  Tutil.check_int "split once" 2 (Bptree.height t);
+  (* Header: magic, u32 root (page 3, allocated after the right leaf), i64 count. *)
+  Tutil.check_string "header" ("4f44454250543031" ^ "03000000" ^ "0500000000000000") (page_hex ~len:20 t 0);
+  Tutil.check_string "internal frame"
+    ("0f00" ^ "01" ^ "0100" ^ "01000000" ^ "0200" ^ "6b33" ^ "02000000")
+    (page_hex t 3)
+
 let large_entries_rejected () =
   let t = mk () in
   match Bptree.insert t (String.make 2000 'k') "v" with
@@ -282,6 +347,8 @@ let suite =
         Alcotest.test_case "cursor early exit stops page reads" `Quick cursor_early_exit_pages;
         Alcotest.test_case "persists across reopen" `Quick persistence;
         Alcotest.test_case "oversized entries rejected" `Quick large_entries_rejected;
+        Alcotest.test_case "leaf at exact node capacity" `Quick exact_capacity_leaf;
+        Alcotest.test_case "node frames pinned" `Quick node_frames_pinned;
       ] );
     Tutil.qsuite "bptree.props"
       [ prop_model; prop_reverse_matches_forward; prop_cursor_matches_iter_range ];

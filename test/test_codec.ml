@@ -53,6 +53,36 @@ let fnv_distinct () =
   Tutil.check_bool "hash differs" true (Codec.fnv64 "abc" <> Codec.fnv64 "abd");
   Tutil.check_bool "hash stable" true (Codec.fnv64 "abc" = Codec.fnv64 "abc")
 
+(* Published FNV-1a 64-bit test vectors; the slice variant must give the
+   same values at a nonzero offset. *)
+let fnv_vectors () =
+  let vectors = [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ] in
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check int64) (Printf.sprintf "fnv64 %S" s) h (Codec.fnv64 s);
+      let b = Bytes.of_string ("<<<" ^ s ^ ">>>") in
+      Alcotest.(check int64)
+        (Printf.sprintf "fnv64_bytes %S at pos 3" s)
+        h
+        (Codec.fnv64_bytes b ~pos:3 ~len:(String.length s)))
+    vectors
+
+(* Hashing is on every WAL append, page write and journal flush: it must
+   not allocate per byte. The bound covers the boxed result and the
+   measurement's own float. *)
+let fnv_allocation () =
+  let s = String.init 65536 (fun i -> Char.chr (i land 0xff)) in
+  let b = Bytes.of_string s in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let string_words = words (fun () -> Codec.fnv64 s) in
+  let bytes_words = words (fun () -> Codec.fnv64_bytes b ~pos:1 ~len:65535) in
+  if string_words > 8. then Alcotest.failf "fnv64 allocated %.0f words over 64 KiB" string_words;
+  if bytes_words > 8. then Alcotest.failf "fnv64_bytes allocated %.0f words over 64 KiB" bytes_words
+
 let prop_int_roundtrip =
   QCheck.Test.make ~name:"int roundtrip" ~count:500 QCheck.int (fun n ->
       let b = Buffer.create 8 in
@@ -81,6 +111,8 @@ let suite =
         Alcotest.test_case "bad bool raises" `Quick bad_bool;
         Alcotest.test_case "strings are framed" `Quick string_prefix_independent;
         Alcotest.test_case "fnv64 behaves" `Quick fnv_distinct;
+        Alcotest.test_case "fnv64 published vectors" `Quick fnv_vectors;
+        Alcotest.test_case "fnv64 allocates nothing per byte" `Quick fnv_allocation;
       ] );
     Tutil.qsuite "codec.props" [ prop_int_roundtrip; prop_string_roundtrip; prop_float_roundtrip ];
   ]

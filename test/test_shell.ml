@@ -191,6 +191,30 @@ let bank_script_runs () =
     | Error msg, _ -> Alcotest.failf "bank.oql failed: %s" msg
   end
 
+(* The forall argument of [Query] requests and [.explain]/[.profile]: with
+   or without a body and a final ';', and one error message for anything
+   else. *)
+let forall_query_forms () =
+  let db = Db.open_in_memory () in
+  let shell = Shell.create ~print:ignore db in
+  (match Shell.exec_catching shell stockitem_example with Ok () -> () | Error e -> Alcotest.fail e);
+  let query q = match Shell.query_rows shell q with Ok rows -> Ok (List.length rows) | Error e -> Error e in
+  let check name expect q = Alcotest.(check (result int string)) name expect (query q) in
+  let refused = Error "expected: forall x in C [suchthat e] [by e [desc]] [{ body }]" in
+  check "bodiless" (Ok 1) "forall x in stockitem suchthat x.qty < 50";
+  check "final semicolon" (Ok 2) "  forall x in stockitem by x.qty desc;  ";
+  check "explain prefix" (Ok 2) "explain forall x in stockitem;";
+  check "body refused" (Error "query takes a bodiless forall (use exec for loops)")
+    "forall x in stockitem { print x.name; }";
+  check "missing in" refused "forall x stockitem";
+  check "trailing statement" refused "forall x in stockitem; print 1;";
+  check "not a forall" refused "print 1;";
+  check "empty" (Error "expected a forall query (see .help)") " ";
+  let explain q = Option.get (Shell.dot_command shell (".explain " ^ q)) in
+  Tutil.check_string "explain with body" (explain "forall x in stockitem suchthat x.qty < 50")
+    (explain "forall x in stockitem suchthat x.qty < 50 { print x.name; };");
+  Db.close db
+
 let suite =
   [
     ( "shell",
@@ -210,5 +234,6 @@ let suite =
         Alcotest.test_case "shell variables tracked" `Quick shell_vars_tracked;
         Alcotest.test_case "bank.oql example script" `Quick bank_script_runs;
         Alcotest.test_case "runtime error prefixed once" `Quick eval_error_prefixed_once;
+        Alcotest.test_case "forall query forms" `Quick forall_query_forms;
       ] );
   ]

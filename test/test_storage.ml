@@ -92,6 +92,72 @@ let pool_flush_all () =
   Pool.flush_all p;
   Tutil.check_bool "flushed" true (Bytes.get (Disk.read d 0) 10 = 'F')
 
+(* A capacity-2 file-backed pool cycling over 8 pages: every miss reuses an
+   evicted frame's buffer, yet every read sees its own page's bytes, and a
+   pinned or dirty frame's buffer is never handed to another page. *)
+let pool_frame_reuse () =
+  let dir = Tutil.temp_dir "pool" in
+  let d = Disk.open_file (Filename.concat dir "pages") in
+  let p = Pool.create ~capacity:2 d in
+  let pages = 8 in
+  (* The checksum trailer belongs to the disk layer; patterns stop before it. *)
+  let fill buf n = Bytes.fill buf 0 Page.data_end (Char.chr (Char.code 'A' + n)) in
+  let holds buf n =
+    let c = Char.chr (Char.code 'A' + n) in
+    Bytes.get buf 0 = c && Bytes.get buf (Page.data_end / 2) = c && Bytes.get buf (Page.data_end - 1) = c
+  in
+  for n = 0 to pages - 1 do
+    let f = Pool.allocate p in
+    Tutil.check_int "allocated in order" n (Pool.page_no f);
+    fill (Pool.data f) n;
+    Pool.mark_dirty p f;
+    Pool.unpin p f
+  done;
+  let seen = ref [] in
+  let read n =
+    Pool.with_page p n (fun f ->
+        let buf = Pool.data f in
+        if not (holds buf n) then Alcotest.failf "page %d read another page's bytes" n;
+        if not (List.memq buf !seen) then seen := buf :: !seen;
+        buf)
+  in
+  for _ = 1 to 3 do
+    for n = 0 to pages - 1 do
+      ignore (read n)
+    done
+  done;
+  Tutil.check_bool "misses reuse the evicted buffers" true (List.length !seen <= Pool.capacity p);
+  (* Pin page 0, clean and then dirty: the other pages cycle through the
+     one frame left, and never through page 0's buffer. *)
+  let f0 = Pool.pin p 0 in
+  let buf0 = Pool.data f0 in
+  let cycle_around_pinned () =
+    for _ = 1 to 2 do
+      for n = 1 to pages - 1 do
+        if read n == buf0 then Alcotest.failf "page %d got the pinned frame's buffer" n
+      done
+    done
+  in
+  cycle_around_pinned ();
+  Tutil.check_bool "clean pinned frame untouched" true (holds buf0 0);
+  Bytes.set buf0 1 'z';
+  Pool.mark_dirty p f0;
+  cycle_around_pinned ();
+  Tutil.check_bool "dirty pinned frame untouched" true (Bytes.get buf0 0 = 'A' && Bytes.get buf0 1 = 'z');
+  Pool.unpin p f0;
+  (* Dirty page 1 and unpin it: its buffer may only move on once its bytes
+     are on disk. *)
+  Pool.with_page p 1 (fun f ->
+      Bytes.set (Pool.data f) 1 'y';
+      Pool.mark_dirty p f);
+  for n = 2 to pages - 1 do
+    ignore (read n)
+  done;
+  Tutil.check_bool "dirty page written back before reuse" true (Bytes.get (Disk.read d 1) 1 = 'y');
+  Tutil.check_bool "pinned page written back" true (Bytes.get (Disk.read d 0) 1 = 'z');
+  Pool.with_page p 1 (fun f -> Tutil.check_bool "page 1 reloads" true (Bytes.get (Pool.data f) 1 = 'y'));
+  Disk.close d
+
 (* -- wal ------------------------------------------------------------------ *)
 
 let wal_records =
@@ -324,6 +390,7 @@ let suite =
         Alcotest.test_case "eviction writes back dirty pages" `Quick pool_eviction_writes_back;
         Alcotest.test_case "exhaustion when all pinned" `Quick pool_exhaustion;
         Alcotest.test_case "flush_all" `Quick pool_flush_all;
+        Alcotest.test_case "evicted frames reused safely" `Quick pool_frame_reuse;
       ] );
     ( "wal",
       [
