@@ -109,9 +109,9 @@ let read_node t page =
       let n =
         Pool.with_page t.pool page (fun f ->
             (* Decoded under the pin; the cursor never outlives it. *)
-            let data = Bytes.unsafe_to_string (Pool.data f) in
-            let size = Codec.get_u16 (Codec.cursor data) in
-            decode (Codec.cursor ~pos:2 ~len:size data))
+            let data = Pool.data f in
+            let size = Bytes.get_uint16_le data 0 in
+            decode (Codec.cursor ~pos:2 ~len:size (Bytes.unsafe_to_string data)))
       in
       Mutex.protect t.cache_mu (fun () ->
           if Hashtbl.length t.node_cache >= cache_limit then Hashtbl.reset t.node_cache;
