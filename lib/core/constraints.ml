@@ -14,6 +14,8 @@ module Catalog = Ode_model.Catalog
 module Eval = Ode_model.Eval
 open Types
 
+let c_checked = Ode_util.Stats.counter "constraints_checked"
+
 let check_object db txn oid =
   match Store.get_header db txn oid with
   | None -> () (* deleted in this transaction: nothing to satisfy *)
@@ -24,7 +26,7 @@ let check_object db txn oid =
           let hooks = Runtime.hooks db txn in
           List.iter
             (fun (k : Schema.constr) ->
-              Ode_util.Stats.incr_constraints_checked ();
+              Ode_util.Stats.incr c_checked;
               let ok =
                 match Eval.eval hooks ~vars:[] ~this:(Some (Value.Ref oid)) k.kexpr with
                 | v -> Eval.truthy v

@@ -63,6 +63,9 @@ let make_db ~dbdir ~kv_disk ~dir_disk ~idx_disk ~wal ~pool_pages ~wal_checkpoint
 
 let h_recovery = Ode_util.Histogram.create "recovery"
 let h_trigger_fire = Ode_util.Histogram.create "trigger.fire"
+let c_replayed = Ode_util.Stats.(counter ~group:Recovery "recovery_replayed")
+let c_orphans_reclaimed = Ode_util.Stats.(counter ~group:Recovery "orphans_reclaimed")
+let c_analyze_runs = Ode_util.Stats.counter "planner.analyze_runs"
 
 let recover db =
   Ode_util.Histogram.time h_recovery @@ fun () ->
@@ -81,11 +84,11 @@ let recover db =
   Wal.replay db.wal (function
     | Wal.Put (xid, key, payload) when Hashtbl.mem committed xid ->
         Store.apply_op db key (Put payload);
-        Ode_util.Stats.incr_recovery_replayed ();
+        Ode_util.Stats.incr c_replayed;
         incr applied
     | Wal.Delete (xid, key) when Hashtbl.mem committed xid ->
         Store.apply_op db key Del;
-        Ode_util.Stats.incr_recovery_replayed ();
+        Ode_util.Stats.incr c_replayed;
         incr applied
     | _ -> ());
   if !applied > 0 then Log.info (fun m -> m "recovery: replayed %d operations" !applied);
@@ -100,7 +103,7 @@ let recover db =
     Heap.sweep_orphans db.kv_heap ~live:(fun rid -> Hashtbl.mem live (Kv.encode_rid rid))
   in
   if swept > 0 then begin
-    Ode_util.Stats.add_orphans_reclaimed swept;
+    Ode_util.Stats.add c_orphans_reclaimed swept;
     Log.info (fun m -> m "recovery: reclaimed %d orphan heap records" swept)
   end;
   Txn.checkpoint db
@@ -388,7 +391,7 @@ let apply_replicated db (records : Wal.record list) =
   let state_touched = ref false in
   let apply key op =
     Store.apply_op db key op;
-    Ode_util.Stats.incr_recovery_replayed ();
+    Ode_util.Stats.incr c_replayed;
     if
       key = Keys.catalog || key = Keys.meta
       || (String.length key > 0 && String.sub key 0 1 = Keys.trigger_prefix)
@@ -537,7 +540,7 @@ let analyze db =
   require_writable db;
   let payload = Ostats.compute db in
   ignore (with_txn_no_drain db (fun txn -> Store.write txn Keys.stats payload));
-  Ode_util.Stats.incr_planner_analyze_runs ();
+  Ode_util.Stats.incr c_analyze_runs;
   Ostats.describe db
 
 let stats_summary db = Ostats.describe db

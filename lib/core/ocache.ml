@@ -21,6 +21,10 @@ open Types
 module Slru = Ode_util.Slru
 module Stats = Ode_util.Stats
 
+let c_hits = Stats.counter "obj_cache_hits"
+let c_misses = Stats.counter "obj_cache_misses"
+let c_invalidations = Stats.counter "obj_cache_invalidations"
+
 let enabled db = Slru.capacity db.ocache > 0
 
 let find db key =
@@ -28,16 +32,16 @@ let find db key =
   else
     match Slru.find db.ocache key with
     | Some _ as hit ->
-        Stats.incr_obj_cache_hits ();
+        Stats.incr c_hits;
         hit
     | None ->
-        Stats.incr_obj_cache_misses ();
+        Stats.incr c_misses;
         None
 
 let add db key v = if enabled db then Slru.add db.ocache key v
 
 let invalidate db key =
-  if enabled db && Slru.remove db.ocache key then Stats.incr_obj_cache_invalidations ()
+  if enabled db && Slru.remove db.ocache key then Stats.incr c_invalidations
 
 let clear db = Slru.clear db.ocache
 let resident db = Slru.length db.ocache

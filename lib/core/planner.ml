@@ -7,6 +7,9 @@ module Eval = Ode_model.Eval
 module Dist = Ode_util.Histogram.Dist
 open Types
 
+let c_stats_hits = Ode_util.Stats.counter "planner.stats_hits"
+let c_fallbacks = Ode_util.Stats.counter "planner.fallbacks"
+
 type access =
   | Full_scan
   | Index_eq of { idx_id : int; field : string; value : Value.t }
@@ -194,8 +197,8 @@ let plan db ?txn ?(env = []) ~var ~cls ~deep ~suchthat () =
         p_est = { est_rows = n; est_out = n; est_cost = n; est_stats = use_stats };
       }
   | Some e ->
-      if use_stats then Ode_util.Stats.incr_planner_stats_hits ()
-      else Ode_util.Stats.incr_planner_fallbacks ();
+      if use_stats then Ode_util.Stats.incr c_stats_hits
+      else Ode_util.Stats.incr c_fallbacks;
       let cs = conjuncts e in
       let tagged = List.map (fun c -> (c, as_sarg db txn env var c)) cs in
       let indexed_sargs =

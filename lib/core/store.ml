@@ -7,6 +7,8 @@ module Catalog = Ode_model.Catalog
 module Bptree = Ode_index.Bptree
 open Types
 
+let c_fetched = Ode_util.Stats.counter "objects_fetched"
+
 exception Type_error of string
 exception No_cluster of string
 
@@ -103,14 +105,14 @@ let get_fields_v db txn (vr : Oid.vref) =
   let key = Keys.version vr.oid vr.ver in
   match pending txn key with
   | Some (Put s) ->
-      Ode_util.Stats.incr_objects_fetched ();
+      Ode_util.Stats.incr c_fetched;
       Some (Value.fields_decode s)
   | Some Del -> None
   | None -> (
       match Mvcc.read db.mvcc ~read_ts:(read_ts_of txn) key with
       | Mvcc.Older None -> None
       | Mvcc.Older (Some s) ->
-          Ode_util.Stats.incr_objects_fetched ();
+          Ode_util.Stats.incr c_fetched;
           Some (Value.fields_decode s)
       | Mvcc.Latest -> (
           match Ocache.find db key with
@@ -119,7 +121,7 @@ let get_fields_v db txn (vr : Oid.vref) =
               match Kv.get db key with
               | None -> None
               | Some s ->
-                  Ode_util.Stats.incr_objects_fetched ();
+                  Ode_util.Stats.incr c_fetched;
                   let fs = Value.fields_decode s in
                   Ocache.add db key (Cfields fs);
                   Some fs)))

@@ -20,6 +20,8 @@ module Catalog = Ode_model.Catalog
 module Eval = Ode_model.Eval
 open Types
 
+let c_fired = Ode_util.Stats.counter "triggers_fired"
+
 exception Trigger_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Trigger_error s)) fmt
@@ -227,7 +229,7 @@ let evaluate txn =
               match find_decl db a.aoid a.tname with
               | g, _ ->
                   if should_fire db txn view a g then begin
-                    Ode_util.Stats.incr_triggers_fired ();
+                    Ode_util.Stats.incr c_fired;
                     Ode_util.Trace.instant ~cat:"trigger" ~args:[ ("trigger", a.tname) ]
                       "trigger.fired";
                     firings := { f_act = a; f_kind = Fired } :: !firings;

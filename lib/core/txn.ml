@@ -5,6 +5,8 @@ module Oid = Ode_model.Oid
 open Types
 
 let h_commit = Ode_util.Histogram.create "txn.commit"
+let c_begins = Ode_util.Stats.counter "txn.begins"
+let c_conflicts = Ode_util.Stats.counter "txn.conflicts"
 
 (* The engine latch. Readers hold the shared side for the duration of a
    request (scans walk B+tree leaf chains that must stay structurally
@@ -60,7 +62,7 @@ let begin_ db =
   db.next_xid <- db.next_xid + 1;
   Hashtbl.replace db.wtxns txn.xid txn;
   db.active <- Some txn;
-  Ode_util.Stats.incr_txn_begins ();
+  Ode_util.Stats.incr c_begins;
   Ode_util.Trace.instant ~cat:"txn" "txn.begin";
   txn
 
@@ -212,7 +214,7 @@ let commit_slot ~durable txn =
     (match Mvcc.conflict db.mvcc ~read_ts:txn.read_ts keys with
     | Some key ->
         abort txn;
-        Ode_util.Stats.incr_txn_conflicts ();
+        Ode_util.Stats.incr c_conflicts;
         Ode_util.Trace.instant ~cat:"txn" "txn.conflict";
         raise
           (Txn_conflict

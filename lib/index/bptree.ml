@@ -1,6 +1,10 @@
 module Codec = Ode_util.Codec
 module Pool = Ode_storage.Buffer_pool
 
+let c_probes = Ode_util.Stats.counter "index_probes"
+let c_cursor_pages_read = Ode_util.Stats.counter "cursor_pages_read"
+let c_pages_reformatted = Ode_util.Stats.(counter ~group:Recovery "pages_reformatted")
+
 let magic = "ODEBPT01"
 let max_entry = 1024
 
@@ -179,7 +183,7 @@ let attach pool =
         (* A crash before the first flush left a stamped all-zero header:
            the tree was never durably initialised. Rebuild it empty; any
            other leftover pages are unreachable from the new root. *)
-        Ode_util.Stats.incr_pages_reformatted ();
+        Ode_util.Stats.incr c_pages_reformatted;
         let t = { pool; root = 0; count = 0; node_cache = Hashtbl.create 256; cache_mu = Mutex.create () } in
         let root = alloc_node t (Leaf { entries = [||]; next = 0 }) in
         t.root <- root;
@@ -221,7 +225,7 @@ let rec find_leaf t page key =
 (* -- public: lookup ----------------------------------------------------------- *)
 
 let find t key =
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.find";
   match find_leaf t t.root key with
   | _, Leaf l -> (
@@ -300,7 +304,7 @@ let insert t key value =
   if key = "" then invalid_arg "bptree: empty key";
   if String.length key + String.length value > max_entry then
     invalid_arg "bptree: entry too large";
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.insert";
   (match insert_at t t.root key value with
   | None -> ()
@@ -312,7 +316,7 @@ let insert t key value =
 (* -- public: delete ------------------------------------------------------------ *)
 
 let delete t key =
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.delete";
   let page, node = find_leaf t t.root key in
   match node with
@@ -344,13 +348,13 @@ type cursor = {
 }
 
 let cursor t ?lo ?hi ?(inclusive_hi = false) () =
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   Ode_util.Trace.instant ~cat:"index" "bptree.cursor";
   let start_key = Option.value lo ~default:"" in
   match find_leaf t t.root start_key with
   | _, Internal _ -> assert false
   | _, Leaf l ->
-      Ode_util.Stats.incr_cursor_pages_read ();
+      Ode_util.Stats.incr c_cursor_pages_read;
       (* Both [Ok i] and [Error i] index the first entry >= start_key. *)
       let idx = match entry_index l.entries start_key with Ok i -> i | Error i -> i in
       { ct = t; centries = l.entries; cidx = idx; cnext = l.next; chi = hi; cinclusive_hi = inclusive_hi }
@@ -378,7 +382,7 @@ let rec cursor_next cur =
     match read_node cur.ct cur.cnext with
     | Internal _ -> assert false
     | Leaf l ->
-        Ode_util.Stats.incr_cursor_pages_read ();
+        Ode_util.Stats.incr c_cursor_pages_read;
         cur.centries <- l.entries;
         cur.cidx <- 0;
         cur.cnext <- l.next;
@@ -403,7 +407,7 @@ let iter_range t ?lo ?hi ?inclusive_hi f =
 (* Reverse-order scan. Leaves are only forward-linked, so this walks the
    tree top-down visiting children right-to-left; bounds prune subtrees. *)
 let iter_range_rev t ?lo ?hi ?(inclusive_hi = false) f =
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   let below_hi k =
     match hi with
     | None -> true

@@ -2,6 +2,8 @@ module Codec = Ode_util.Codec
 module Pool = Ode_storage.Buffer_pool
 module Page = Ode_storage.Page
 
+let c_probes = Ode_util.Stats.counter "index_probes"
+
 let magic = "ODEHASH1"
 let max_entry = 1024
 let max_buckets = (Page.data_end - 24) / 4
@@ -221,7 +223,7 @@ let maybe_split t =
 (* -- public -------------------------------------------------------------------- *)
 
 let find t key =
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   let rec go page =
     if page = 0 then None
     else
@@ -240,7 +242,7 @@ let insert t key value =
   if key = "" then invalid_arg "hash_index: empty key";
   if 4 + String.length key + String.length value > max_entry then
     invalid_arg "hash_index: entry too large";
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   let b = bucket_of t key in
   let head = bucket_dir_get t b in
   let entry_bytes = 4 + String.length key + String.length value in
@@ -289,7 +291,7 @@ let insert t key value =
       maybe_split t
 
 let delete t key =
-  Ode_util.Stats.incr_index_probes ();
+  Ode_util.Stats.incr c_probes;
   let rec go page =
     if page = 0 then false
     else

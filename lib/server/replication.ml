@@ -14,6 +14,9 @@ module Stats = Ode_util.Stats
 module Codec = Ode_util.Codec
 
 let h_apply = Ode_util.Histogram.create "repl.apply"
+let c_batches_applied = Stats.counter "repl.batches_applied"
+let c_dup_batches = Stats.counter "repl.dup_batches"
+let c_snapshots_sent = Stats.counter "repl.snapshots_sent"
 
 exception Resync of string
 
@@ -66,7 +69,7 @@ let answer_hello db ~replica_lsn =
             | None -> None)
           snapshot_files
       in
-      Stats.incr_repl_snapshots_sent ();
+      Stats.incr c_snapshots_sent;
       Snapshot { lsn = Db.lsn db; files }
 
 (* -- replica side -------------------------------------------------------- *)
@@ -203,7 +206,7 @@ let reconnect ~host ~port db =
 let apply_batch db ~from_lsn ~to_lsn ~data =
   let cur = Db.lsn db in
   if to_lsn <= cur then begin
-    Stats.incr_repl_dup_batches ();
+    Stats.incr c_dup_batches;
     `Duplicate
   end
   else if from_lsn <> cur then
@@ -218,7 +221,7 @@ let apply_batch db ~from_lsn ~to_lsn ~data =
     if consumed <> String.length data then
       raise (Resync (Printf.sprintf "torn batch: %d of %d bytes intact" consumed (String.length data)));
     Ode_util.Histogram.time h_apply (fun () -> Db.apply_replicated db (List.rev !records));
-    Stats.incr_repl_batches_applied ();
+    Stats.incr c_batches_applied;
     let got = Db.lsn db in
     if got <> to_lsn then
       raise (Resync (Printf.sprintf "batch advertised %d but applied to %d" to_lsn got));

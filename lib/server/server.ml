@@ -61,6 +61,24 @@ module Chan = Ode_util.Chan
 module Rwlock = Ode_util.Rwlock
 module Db = Ode.Database
 
+let c_accepts = Stats.counter "server.accepts"
+let c_rejects = Stats.counter "server.rejects"
+let c_timeouts = Stats.counter "server.timeouts"
+let c_bytes_in = Stats.counter "server.bytes_in"
+let c_bytes_out = Stats.counter "server.bytes_out"
+let c_reroutes = Stats.counter "server.reroutes"
+let c_accept_backoffs = Stats.counter "server.accept_backoffs"
+let c_repl_batches_sent = Stats.counter "repl.batches_sent"
+let c_repl_bytes_sent = Stats.counter "repl.bytes_sent"
+let c_repl_acks = Stats.counter "repl.acks"
+let c_repl_resyncs = Stats.counter "repl.resyncs"
+let c_repl_sync_degraded = Stats.counter "repl.sync_degraded"
+(* Gauges overwritten by [update_gauges]: how many commits the slowest
+   streaming replica is behind the durable LSN, and the bytes backed up
+   toward the replicas. *)
+let c_repl_lag_commits = Stats.(counter ~kind:Gauge "repl.lag_commits")
+let c_repl_lag_bytes = Stats.(counter ~kind:Gauge "repl.lag_bytes")
+
 type endpoint = {
   fd : Unix.file_descr;
   rd : Protocol.reader;       (* received bytes, until the kind consumes them *)
@@ -337,7 +355,7 @@ let rec accept_all t lfd ~what admit =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (EINTR, _, _) -> accept_all t lfd ~what admit
   | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
-      Stats.incr_server_accept_backoffs ();
+      Stats.incr c_accept_backoffs;
       t.accept_pause <- Unix.gettimeofday () +. accept_backoff;
       Printf.eprintf "server: accept%s: out of file descriptors; backing off\n%!" what
   | fd, _ ->
@@ -356,8 +374,8 @@ let feed t ~data ~from_lsn ~to_lsn =
     (fun d ->
       if d.d_state = `Streaming then begin
         Protocol.encode_repl d.d_ep.out (Protocol.R_batch (from_lsn, to_lsn, data));
-        Stats.incr_repl_batches_sent ();
-        Stats.add_repl_bytes_sent (String.length data)
+        Stats.incr c_repl_batches_sent;
+        Stats.add c_repl_bytes_sent (String.length data)
       end)
     t.downstreams
 
@@ -414,8 +432,8 @@ let process_downstream t d =
                     if String.length backlog > 0 then begin
                       Protocol.encode_repl d.d_ep.out
                         (Protocol.R_batch (from_lsn, to_lsn, backlog));
-                      Stats.incr_repl_batches_sent ();
-                      Stats.add_repl_bytes_sent (String.length backlog)
+                      Stats.incr c_repl_batches_sent;
+                      Stats.add c_repl_bytes_sent (String.length backlog)
                     end;
                     (* It proved possession up to [from_lsn]. *)
                     d.d_acked <- from_lsn;
@@ -432,7 +450,7 @@ let process_downstream t d =
         | Some body ->
             (match Protocol.decode_repl body with
             | Protocol.R_ack lsn ->
-                Stats.incr_repl_acks ();
+                Stats.incr c_repl_acks;
                 if lsn > d.d_acked then d.d_acked <- lsn
             | _ -> raise Exit);
             acks ()
@@ -458,7 +476,7 @@ let queue_ack t u = Protocol.encode_repl u.u_ep.out (Protocol.R_ack (Db.lsn t.db
 
 let upstream_fault u reason =
   close_ep u.u_ep;
-  Stats.incr_repl_resyncs ();
+  Stats.incr c_repl_resyncs;
   u.u_retry_at <- Unix.gettimeofday () +. 1.0;
   Printf.eprintf "replication: upstream lost (%s); retrying\n%!" reason
 
@@ -648,7 +666,7 @@ let manage_gate t now =
         | Some s when now -. s > sync_repl_timeout ->
             t.degraded <- true;
             t.gate_since <- None;
-            Stats.incr_repl_sync_degraded ()
+            Stats.incr c_repl_sync_degraded
         | Some _ -> ()
   end
 
@@ -658,25 +676,25 @@ let update_gauges t =
   in
   if has_repl then begin
     let durable = Db.durable_lsn t.db in
-    Stats.set_repl_lag_commits
+    Stats.set c_repl_lag_commits
       (List.fold_left
          (fun acc d ->
            if d.d_state = `Streaming && d.d_acked >= 0 then max acc (durable - d.d_acked)
            else acc)
          0 t.downstreams);
-    Stats.set_repl_lag_bytes (List.fold_left (fun acc d -> acc + pending d.d_ep) 0 t.downstreams)
+    Stats.set c_repl_lag_bytes (List.fold_left (fun acc d -> acc + pending d.d_ep) 0 t.downstreams)
   end
 
 (* -- accepting ------------------------------------------------------------ *)
 
 let accept_pending t =
   accept_all t t.listen_fd ~what:"" (fun fd ->
-      Stats.incr_server_accepts ();
+      Stats.incr c_accepts;
       if List.length t.conns >= t.max_conns then begin
         (* Friendly rejection: a complete handshake reply, then goodbye. The
            7-byte write into a fresh socket's empty send buffer cannot
            block. *)
-        Stats.incr_server_rejects ();
+        Stats.incr c_rejects;
         (try
            ignore
              (Unix.write_substring fd (Protocol.hello_reply Busy) 0 Protocol.hello_reply_len)
@@ -714,7 +732,7 @@ let try_handshake t c =
       else begin
         (* Another protocol version or garbage: answer with a parseable
            rejection and hang up. *)
-        Stats.incr_server_rejects ();
+        Stats.incr c_rejects;
         Buffer.add_string c.ep.out (Protocol.hello_reply Bad_version);
         c.closing <- true
       end
@@ -822,7 +840,7 @@ let gone t peer reason =
 
 (* Metrics scrapes are not server traffic: they stay out of
    [server.bytes_in]/[server.bytes_out]. *)
-let count_bytes peer add n = match peer with Scrape _ -> () | _ -> add n
+let count_bytes peer c n = match peer with Scrape _ -> () | _ -> Stats.add c n
 
 let read_ep t peer =
   let ep = ep_of peer in
@@ -833,7 +851,7 @@ let read_ep t peer =
     | exception Unix.Unix_error (e, _, _) -> gone t peer (Unix.error_message e)
     | 0 -> gone t peer "peer closed the connection"
     | n ->
-        count_bytes peer Stats.add_server_bytes_in n;
+        count_bytes peer c_bytes_in n;
         Protocol.feed ep.rd t.read_buf n;
         arrived t peer
 
@@ -844,7 +862,7 @@ let write_ep t peer =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error (e, _, _) -> gone t peer (Unix.error_message e)
   | n ->
-      count_bytes peer Stats.add_server_bytes_out n;
+      count_bytes peer c_bytes_out n;
       ep.out_pos <- ep.out_pos + n;
       if ep.out_pos = Buffer.length ep.out then begin
         Buffer.clear ep.out;
@@ -886,7 +904,7 @@ let finish_completion t (cm : completion) =
         (* The query tried to write (a method with side effects): replay it
            on the writer under the exclusive lock, where writes are legal.
            Already counted once by the reader's [handle_read]. *)
-        Stats.incr_server_reroutes ();
+        Stats.incr c_reroutes;
         exec_on_writer ~count:false t c cm.cm_job.rj_session cm.cm_job.rj_rq);
     (* Resume frames that arrived while the request was in flight. *)
     process t c
@@ -923,7 +941,7 @@ let evict_idle t =
           ignore (Queue.pop t.idle_q);
           if c.ep.live then
             if (not c.inflight) && now -. c.last > t.idle_timeout then begin
-              Stats.incr_server_timeouts ();
+              Stats.incr c_timeouts;
               drop t c
             end
             else Queue.push (now, c) t.idle_q;

@@ -11,6 +11,7 @@ type t = {
 }
 
 let request_hist = Histogram.create "server.request"
+let c_requests = Stats.counter "server.requests"
 
 let create ?(id = 0) db =
   let out = Buffer.create 256 in
@@ -115,7 +116,7 @@ let finish t (rq : Protocol.request) reply =
   { Protocol.rs_id = rq.rq_id; rs_lsn = Ode.Database.lsn t.db; rs_reply = reply }
 
 let handle ?(count = true) ?(queue_wait_ns = 0) t (rq : Protocol.request) : Protocol.response =
-  if count then Stats.incr_server_requests ();
+  if count then Stats.incr c_requests;
   (* Trigger actions fired by this request's commits print through the
      requesting session, not whichever session was created last. Installed
      only here, on the writer path: reader-domain requests cannot fire
@@ -124,7 +125,7 @@ let handle ?(count = true) ?(queue_wait_ns = 0) t (rq : Protocol.request) : Prot
   finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:false t rq.rq_op))
 
 let handle_read ?(queue_wait_ns = 0) t (rq : Protocol.request) : Protocol.response =
-  Stats.incr_server_requests ();
+  Stats.incr c_requests;
   finish t rq (timed t rq ~queue_wait_ns (fun () -> run ~detached:true t rq.rq_op))
 
 let close t = Shell.rollback t.shell

@@ -22,6 +22,9 @@ type frame = {
 let fp_flush = Failpoint.site "pool.flush"
 let fp_evict = Failpoint.site "pool.evict"
 
+let c_hits = Ode_util.Stats.counter "pool_hits"
+let c_misses = Ode_util.Stats.counter "pool_misses"
+
 type stripe = { mu : Mutex.t; frames : (int, frame) Ode_util.Lru.t }
 
 type t = {
@@ -151,11 +154,11 @@ let pin t n =
   Mutex.protect s.mu (fun () ->
       match Ode_util.Lru.find s.frames n with
       | Some f ->
-          Ode_util.Stats.incr_pool_hits ();
+          Ode_util.Stats.incr c_hits;
           f.pins <- f.pins + 1;
           f
       | None -> (
-          Ode_util.Stats.incr_pool_misses ();
+          Ode_util.Stats.incr c_misses;
           Ode_util.Trace.instant ~cat:"pool" "pool.miss";
           let buf = make_room_flushing t s in
           (* The stripe lock was dropped during a flush: another domain may

@@ -33,13 +33,19 @@ let fp_sync = Failpoint.site "disk.sync"
 let fp_journal_write = Failpoint.site "disk.journal.write"
 let fp_journal_clear = Failpoint.site "disk.journal.clear"
 
+let c_pages_read = Stats.counter "pages_read"
+let c_pages_written = Stats.counter "pages_written"
+let c_checksum_failures = Stats.(counter ~group:Recovery "checksum_failures")
+let c_journal_pages_restored = Stats.(counter ~group:Recovery "journal_pages_restored")
+let c_io_retries = Stats.(counter ~group:Recovery "io_retries")
+
 (* -- resilient syscall wrappers ------------------------------------------ *)
 
 let rec retry f =
   match f () with
   | v -> v
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
-      Stats.incr_io_retries ();
+      Stats.incr c_io_retries;
       retry f
 
 let read_fully fd buf pos len =
@@ -175,7 +181,7 @@ let recover_journal fd journal_path =
       | Some batch ->
           List.iter
             (fun (no, page) ->
-              Stats.incr_journal_pages_restored ();
+              Stats.incr c_journal_pages_restored;
               pwrite fd (Bytes.of_string page) (no * Page.size))
             batch;
           Unix.fsync fd
@@ -206,7 +212,7 @@ let open_file path =
     if !pages > 0 then begin
       pread fd buf ((!pages - 1) * Page.size);
       if not (checksum_ok buf) then begin
-        Stats.incr_checksum_failures ();
+        Stats.incr c_checksum_failures;
         decr pages;
         Unix.ftruncate fd (!pages * Page.size);
         trim ()
@@ -235,13 +241,13 @@ let h_page_write = Ode_util.Histogram.create "page.write"
 let read_into t n buf =
   Mutex.protect t.mu @@ fun () ->
   check_range t n ~extend:false;
-  Stats.incr_pages_read ();
+  Stats.incr c_pages_read;
   Ode_util.Histogram.time h_page_read @@ fun () ->
   match t.backend with
   | File f ->
       pread f.fd buf (n * Page.size);
       if not (checksum_ok buf) then begin
-        Stats.incr_checksum_failures ();
+        Stats.incr c_checksum_failures;
         raise (Codec.Corrupt (Printf.sprintf "disk: bad checksum on page %d" n))
       end
   | Memory m -> Bytes.blit m.arr.(n) 0 buf 0 Page.size
@@ -277,7 +283,7 @@ let write_page f n page =
 let write_unlocked t n page =
   check_range t n ~extend:true;
   assert (Bytes.length page = Page.size);
-  Stats.incr_pages_written ();
+  Stats.incr c_pages_written;
   Ode_util.Histogram.time h_page_write @@ fun () ->
   match t.backend with
   | File f -> write_page f n page
@@ -295,7 +301,7 @@ let write_batch t batch =
   | Memory m, _ ->
       List.iter
         (fun (n, page) ->
-          Stats.incr_pages_written ();
+          Stats.incr c_pages_written;
           write_mem m n page)
         batch
   | File f, _ ->
@@ -318,7 +324,7 @@ let write_batch t batch =
       (* 2. Apply in place. A crash here is repaired from the journal. *)
       List.iter
         (fun (n, page) ->
-          Stats.incr_pages_written ();
+          Stats.incr c_pages_written;
           match Failpoint.hit fp_write with
           | Some act -> faulted_write fp_write f.fd page (n * Page.size) act
           | None -> pwrite f.fd page (n * Page.size))

@@ -3,6 +3,8 @@ module Failpoint = Ode_util.Failpoint
 
 let fp_flush = Failpoint.site "heap.flush"
 
+let c_pages_reformatted = Ode_util.Stats.(counter ~group:Recovery "pages_reformatted")
+
 type rid = { page : int; slot : int }
 
 let pp_rid ppf r = Format.fprintf ppf "%d.%d" r.page r.slot
@@ -104,7 +106,7 @@ let attach pool =
     (match check_header t with
     | `Ok -> ()
     | `Never_flushed ->
-        Ode_util.Stats.incr_pages_reformatted ();
+        Ode_util.Stats.incr c_pages_reformatted;
         write_header t);
     (* Rebuild the free-space map and record count by scanning data pages. *)
     for n = 1 to Buffer_pool.page_count pool - 1 do
@@ -117,7 +119,7 @@ let attach pool =
                  happened before the batch that would have filled it). *)
               Page.reset p;
               Buffer_pool.mark_dirty pool f;
-              Ode_util.Stats.incr_pages_reformatted ());
+              Ode_util.Stats.incr c_pages_reformatted);
           Fsm.set t.fsm n (Page.free_space p);
           Page.iter p (fun _ data ->
               if String.length data > 0 && Char.code data.[0] <> tag_chunk then

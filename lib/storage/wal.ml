@@ -13,6 +13,14 @@ let fp_fsync = Failpoint.site "wal.fsync"
 let fp_reset = Failpoint.site "wal.reset"
 let fp_lsn = Failpoint.site "wal.lsn"
 
+let c_appends = Stats.counter "wal_appends"
+let c_syncs = Stats.counter "wal_syncs"
+(* A group-commit sync that makes g pending commits durable at once adds
+   g - 1: the fsyncs the batch avoided. *)
+let c_sync_saved = Stats.counter "wal_sync_saved"
+let c_torn_bytes = Stats.(counter ~group:Recovery "wal_torn_bytes")
+let c_io_retries = Stats.(counter ~group:Recovery "io_retries")
+
 type record =
   | Begin of int
   | Commit of int * int * int (* xid, originating trace id (0 = untraced),
@@ -166,7 +174,7 @@ let rec retry f =
   match f () with
   | v -> v
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
-      Stats.incr_io_retries ();
+      Stats.incr c_io_retries;
       retry f
 
 let read_all fd =
@@ -211,7 +219,7 @@ let open_file path =
   let intact = scan contents None in
   (* Drop any torn tail so future appends start at a clean boundary. *)
   if intact < String.length contents then begin
-    Stats.add_wal_torn_bytes (String.length contents - intact);
+    Stats.add c_torn_bytes (String.length contents - intact);
     Unix.ftruncate fd intact
   end;
   ignore (Unix.lseek fd intact Unix.SEEK_SET);
@@ -244,7 +252,7 @@ let in_memory () =
   }
 
 let append t r =
-  Ode_util.Stats.incr_wal_appends ();
+  Stats.incr c_appends;
   Ode_util.Trace.instant ~cat:"wal" "wal.append";
   (match r with
   | Commit _ ->
@@ -309,7 +317,7 @@ let h_sync = Ode_util.Histogram.create "wal.sync"
 let h_group = Ode_util.Histogram.create "wal.group_size"
 
 let sync t =
-  Stats.incr_wal_syncs ();
+  Stats.incr c_syncs;
   Ode_util.Histogram.time h_sync (fun () ->
       Ode_util.Trace.with_span ~cat:"wal" "wal.sync" (fun () ->
           let len = t.pending_len in
@@ -327,7 +335,7 @@ let sync t =
              commit is acknowledged by this one fsync. *)
           if t.pending_commits > 0 then begin
             Ode_util.Histogram.observe h_group t.pending_commits;
-            Stats.add_wal_sync_saved (t.pending_commits - 1);
+            Stats.add c_sync_saved (t.pending_commits - 1);
             t.pending_commits <- 0
           end;
           let from_lsn = t.durable_lsn in

@@ -3,15 +3,26 @@
     Every layer of the system bumps these counters; benchmarks snapshot them
     around a workload to report how much physical and logical work each
     strategy performed (pages touched, index probes, objects scanned, ...).
-    Counters live in a registry of named slots: [register] a new one and
-    snapshot/diff/[to_list]/[pp] pick it up with no further edits. Counters
-    are process-global [Atomic.t] cells, so bumps are domain-safe: the
-    network server executes read-only requests on reader domains in
-    parallel with the writer domain, and every layer's counters stay
-    exact under that concurrency. [snapshot] reads each cell atomically
-    (the array as a whole is not one atomic cut, which is fine for
-    monotonic counters). Registration itself happens at module
-    initialization, before any domain is spawned. *)
+
+    A counter is declared by the module that owns it, at module
+    initialization: [let c_evictions = Stats.counter "cache.evictions"] at
+    top level, then [Stats.incr c_evictions] on the hot path. Declaring a
+    name that is already registered returns the same slot, so two modules
+    that bump one counter (the B+tree and the hash index both count index
+    probes) both declare it. snapshot/diff/[to_list]/[pp] and the metrics
+    endpoint pick every slot up with no further edits. Code outside the
+    owner reads a counter by name: [Stats.get snap "cache.evictions"].
+
+    A slot exists only in a binary that links its owner: a process that
+    does not link the serving layer has none of its counters.
+
+    Counters are process-global [Atomic.t] cells, so bumps are domain-safe:
+    the network server executes read-only requests on reader domains in
+    parallel with the writer domain, and every layer's counters stay exact
+    under that concurrency. [snapshot] reads each cell atomically (the
+    array as a whole is not one atomic cut, which is fine for monotonic
+    counters). Registration itself happens at module initialization,
+    before any domain is spawned. *)
 
 type group =
   | Workload  (** reported by [pp] / the shell's [.stats] *)
@@ -22,13 +33,24 @@ type kind =
   | Gauge  (** overwritten with a current level (replication lag) *)
 
 type snapshot
-(** Counter values at the moment [snapshot] was taken; read with the named
-    accessors below, or generically with [to_list]/[get]. *)
+(** Counter values at the moment [snapshot] was taken; read with
+    [get]/[to_list]. *)
 
-val register : ?group:group -> ?kind:kind -> string -> int
-(** Register a counter and return its slot id, for layers that keep their
-    own hot-path handle ([bump]/[bump_by] are not exported; use the
-    [incr_*] style wrappers or re-register in the owning module). *)
+type counter
+(** A handle on one registered slot. *)
+
+val counter : ?group:group -> ?kind:kind -> string -> counter
+(** [counter ?group ?kind name] registers [name] (default [Workload],
+    [Counter]) and returns its handle. Called again with a registered name
+    it returns the same slot.
+    @raise Invalid_argument if [name] is registered with another group or
+    kind. *)
+
+val incr : counter -> unit
+val add : counter -> int -> unit
+
+val set : counter -> int -> unit
+(** Overwrite the value, for [Gauge] slots. *)
 
 val kind_of : string -> kind
 (** Exposition kind of a registered slot ([Counter] if unknown) — lets the
@@ -68,148 +90,6 @@ val to_list : snapshot -> (string * int) list
 
 val get : snapshot -> string -> int
 (** Value of a counter by name; 0 if unknown. *)
-
-(* Incrementers, called by the owning layer. *)
-val incr_pages_read : unit -> unit
-val incr_pages_written : unit -> unit
-val incr_pool_hits : unit -> unit
-val incr_pool_misses : unit -> unit
-val incr_wal_appends : unit -> unit
-val incr_wal_syncs : unit -> unit
-
-val add_wal_sync_saved : int -> unit
-(** Group commit: [add_wal_sync_saved (g - 1)] on a WAL sync that made [g]
-    pending commits durable at once — the fsyncs the batch avoided. *)
-
-val incr_index_probes : unit -> unit
-val incr_objects_scanned : unit -> unit
-val incr_objects_fetched : unit -> unit
-val incr_constraints_checked : unit -> unit
-val incr_triggers_fired : unit -> unit
-val add_wal_torn_bytes : int -> unit
-val incr_recovery_replayed : unit -> unit
-val incr_checksum_failures : unit -> unit
-val add_orphans_reclaimed : int -> unit
-val incr_journal_pages_restored : unit -> unit
-val incr_pages_reformatted : unit -> unit
-val incr_io_retries : unit -> unit
-val incr_obj_cache_hits : unit -> unit
-val incr_obj_cache_misses : unit -> unit
-val incr_obj_cache_invalidations : unit -> unit
-val incr_cursor_pages_read : unit -> unit
-val incr_server_accepts : unit -> unit
-val incr_server_requests : unit -> unit
-val incr_server_rejects : unit -> unit
-val incr_server_timeouts : unit -> unit
-val add_server_bytes_in : int -> unit
-val add_server_bytes_out : int -> unit
-val incr_server_reroutes : unit -> unit
-val incr_server_accept_backoffs : unit -> unit
-val incr_repl_batches_sent : unit -> unit
-val incr_repl_batches_applied : unit -> unit
-val add_repl_bytes_sent : int -> unit
-val incr_repl_snapshots_sent : unit -> unit
-val incr_repl_acks : unit -> unit
-val incr_repl_resyncs : unit -> unit
-val incr_repl_dup_batches : unit -> unit
-val incr_repl_sync_degraded : unit -> unit
-
-val incr_txn_conflicts : unit -> unit
-(** A committing transaction lost first-committer-wins conflict detection
-    and was aborted with the retryable conflict error. *)
-
-val incr_txn_begins : unit -> unit
-(** A read-write transaction was opened. *)
-
-val incr_planner_stats_hits : unit -> unit
-(** The planner costed a plan from analyze statistics. *)
-
-val incr_planner_fallbacks : unit -> unit
-(** The planner fell back to heuristics (stats absent or stale). *)
-
-val incr_planner_analyze_runs : unit -> unit
-val incr_planner_fused_joins : unit -> unit
-(** A nested join was fused into one streamed pass (deref/membership). *)
-
-val incr_planner_hash_joins : unit -> unit
-val incr_planner_nested_joins : unit -> unit
-
-val set_repl_lag_commits : int -> unit
-val set_repl_lag_bytes : int -> unit
-(** Replication-lag gauges (overwritten, not accumulated): commits the
-    slowest streaming replica is behind the primary's durable LSN, and the
-    response/batch bytes backed up toward it. *)
-
-(* Named accessors — the compatibility layer over the old record fields:
-   pages read/written on a disk backend, buffer-pool hits/misses, WAL
-   appends/flushes, B+tree descents, objects visited/fetched, constraint
-   checks, trigger firings; then the recovery group (torn-tail bytes,
-   replayed WAL ops, checksum mismatches, swept orphans, journal pages
-   restored, reinitialised pages, EINTR/EAGAIN retries); then the read-path
-   group (decoded-object cache hits/misses/invalidations, B+tree leaves
-   visited by streaming cursors). *)
-val pages_read : snapshot -> int
-val pages_written : snapshot -> int
-val pool_hits : snapshot -> int
-val pool_misses : snapshot -> int
-val wal_appends : snapshot -> int
-val wal_syncs : snapshot -> int
-val wal_sync_saved : snapshot -> int
-val index_probes : snapshot -> int
-val objects_scanned : snapshot -> int
-val objects_fetched : snapshot -> int
-val constraints_checked : snapshot -> int
-val triggers_fired : snapshot -> int
-val wal_torn_bytes : snapshot -> int
-val recovery_replayed : snapshot -> int
-val checksum_failures : snapshot -> int
-val orphans_reclaimed : snapshot -> int
-val journal_pages_restored : snapshot -> int
-val pages_reformatted : snapshot -> int
-val io_retries : snapshot -> int
-val obj_cache_hits : snapshot -> int
-val obj_cache_misses : snapshot -> int
-val obj_cache_invalidations : snapshot -> int
-val cursor_pages_read : snapshot -> int
-
-(* The serving layer (connections accepted, requests served, busy
-   rejections, idle-timeout evictions, wire bytes in/out, reader-domain
-   requests replayed on the writer, accept backoffs on fd exhaustion). *)
-val server_accepts : snapshot -> int
-val server_requests : snapshot -> int
-val server_rejects : snapshot -> int
-val server_timeouts : snapshot -> int
-val server_bytes_in : snapshot -> int
-val server_bytes_out : snapshot -> int
-val server_reroutes : snapshot -> int
-val server_accept_backoffs : snapshot -> int
-
-(* Replication: batches/bytes shipped and applied, snapshots served,
-   acknowledgements, stream resyncs, duplicate batches skipped, semi-sync
-   waits that degraded to local durability; plus the two lag gauges. *)
-val repl_batches_sent : snapshot -> int
-val repl_batches_applied : snapshot -> int
-val repl_bytes_sent : snapshot -> int
-val repl_snapshots_sent : snapshot -> int
-val repl_acks : snapshot -> int
-val repl_resyncs : snapshot -> int
-val repl_dup_batches : snapshot -> int
-val repl_sync_degraded : snapshot -> int
-val repl_lag_commits : snapshot -> int
-val repl_lag_bytes : snapshot -> int
-
-(* MVCC transactions: read-write begins and first-committer-wins aborts. *)
-val txn_conflicts : snapshot -> int
-val txn_begins : snapshot -> int
-
-(* Query planner: stats-costed vs heuristic plans, analyze runs, and the
-   join strategies actually executed. *)
-val planner_stats_hits : snapshot -> int
-val planner_fallbacks : snapshot -> int
-val planner_analyze_runs : snapshot -> int
-val planner_fused_joins : snapshot -> int
-val planner_hash_joins : snapshot -> int
-val planner_nested_joins : snapshot -> int
 
 val pp : Format.formatter -> snapshot -> unit
 (** Workload counters (pages, pool, WAL, probes, ...), derived from the

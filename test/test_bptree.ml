@@ -240,9 +240,9 @@ let cursor_early_exit_pages () =
   done;
   Tutil.check_bool "multi-leaf tree" true (Bptree.height t >= 2);
   let pages_during fn =
-    let before = Ode_util.Stats.(cursor_pages_read (snapshot ())) in
+    let before = Ode_util.Stats.(get (snapshot ()) "cursor_pages_read") in
     fn ();
-    Ode_util.Stats.(cursor_pages_read (snapshot ())) - before
+    Ode_util.Stats.(get (snapshot ()) "cursor_pages_read") - before
   in
   let full =
     pages_during (fun () ->

@@ -37,11 +37,11 @@ let abort_leaves_clean () =
   let db = setup () in
   let o = List.hd (mk db 1) in
   warm db [ o ];
-  let inv0 = Stats.(obj_cache_invalidations (snapshot ())) in
+  let inv0 = Stats.(get (snapshot ()) "obj_cache_invalidations") in
   let txn = Db.begin_txn db in
   Db.set_field txn o "x" (Value.Int 99);
   Db.abort txn;
-  let inv1 = Stats.(obj_cache_invalidations (snapshot ())) in
+  let inv1 = Stats.(get (snapshot ()) "obj_cache_invalidations") in
   Tutil.check_int "abort invalidates nothing" 0 (inv1 - inv0);
   Tutil.check_bool "committed value survives the abort" true
     (Store.get_field db None o "x" = Some (Value.Int 0));
@@ -52,17 +52,17 @@ let commit_invalidates_touched () =
   let oids = mk db 3 in
   warm db oids;
   let a = List.nth oids 0 and b = List.nth oids 1 in
-  let inv0 = Stats.(obj_cache_invalidations (snapshot ())) in
+  let inv0 = Stats.(get (snapshot ()) "obj_cache_invalidations") in
   Db.with_txn db (fun txn -> Db.set_field txn a "x" (Value.Int 7));
-  let inv1 = Stats.(obj_cache_invalidations (snapshot ())) in
+  let inv1 = Stats.(get (snapshot ()) "obj_cache_invalidations") in
   (* set_field rewrites only the current-version record, so exactly one
      cached key is dropped. *)
   Tutil.check_int "exactly one key invalidated" 1 (inv1 - inv0);
   Tutil.check_bool "touched object reads fresh" true
     (Store.get_field db None a "x" = Some (Value.Int 7));
-  let h0 = Stats.(obj_cache_hits (snapshot ())) in
+  let h0 = Stats.(get (snapshot ()) "obj_cache_hits") in
   ignore (Store.get_fields db None b);
-  let h1 = Stats.(obj_cache_hits (snapshot ())) in
+  let h1 = Stats.(get (snapshot ()) "obj_cache_hits") in
   Tutil.check_bool "untouched object still served from cache" true (h1 - h0 >= 1);
   Db.close db
 
@@ -102,9 +102,9 @@ let disabled_counts_nothing () =
   warm db oids;
   warm db oids;
   let s1 = Stats.snapshot () in
-  Tutil.check_int "no hits when disabled" 0 Stats.(obj_cache_hits s1 - obj_cache_hits s0);
+  Tutil.check_int "no hits when disabled" 0 Stats.(get s1 "obj_cache_hits" - get s0 "obj_cache_hits");
   Tutil.check_int "no misses when disabled" 0
-    Stats.(obj_cache_misses s1 - obj_cache_misses s0);
+    Stats.(get s1 "obj_cache_misses" - get s0 "obj_cache_misses");
   Tutil.check_int "cache stays empty" 0 (Ode_util.Slru.length db.Ode.Types.ocache);
   Db.close db
 
@@ -115,19 +115,19 @@ let query_workload_hits () =
     Ode.Query.count db ~var:"p" ~cls:"pt" ~suchthat:(Parser.expr "p.x + p.y > 10") ()
   in
   Tutil.check_int "cold count" 189 (q ());
-  let h0 = Stats.(obj_cache_hits (snapshot ())) in
+  let h0 = Stats.(get (snapshot ()) "obj_cache_hits") in
   Tutil.check_int "warm count" 189 (q ());
-  let h1 = Stats.(obj_cache_hits (snapshot ())) in
+  let h1 = Stats.(get (snapshot ()) "obj_cache_hits") in
   Tutil.check_bool "repeated predicate scan hits the cache" true (h1 - h0 > 0);
   Db.close db
 
 let exists_early_exit () =
   let db = setup () in
   ignore (mk db 500);
-  let s0 = Stats.(objects_scanned (snapshot ())) in
+  let s0 = Stats.(get (snapshot ()) "objects_scanned") in
   Tutil.check_bool "exists finds a match" true
     (Ode.Query.exists db ~var:"p" ~cls:"pt" ~suchthat:(Parser.expr "p.x == 0") ());
-  let s1 = Stats.(objects_scanned (snapshot ())) in
+  let s1 = Stats.(get (snapshot ()) "objects_scanned") in
   Tutil.check_int "first-object match scans one object" 1 (s1 - s0);
   Tutil.check_bool "exists with no match is false" false
     (Ode.Query.exists db ~var:"p" ~cls:"pt" ~suchthat:(Parser.expr "p.x == 0 - 1") ());

@@ -205,13 +205,14 @@ let histogram_time_disabled () =
 (* -- stats registry -------------------------------------------------------- *)
 
 let stats_registry () =
+  let pages_read = Stats.counter "pages_read" and index_probes = Stats.counter "index_probes" in
   let before = Stats.snapshot () in
-  Stats.incr_pages_read ();
-  Stats.incr_index_probes ();
-  Stats.incr_index_probes ();
+  Stats.incr pages_read;
+  Stats.incr index_probes;
+  Stats.incr index_probes;
   let after = Stats.snapshot () in
   let d = Stats.diff after before in
-  Alcotest.(check int) "accessor sees delta" 1 (Stats.pages_read d);
+  Alcotest.(check int) "accessor sees delta" 1 (Stats.get d "pages_read");
   Alcotest.(check int) "get by name" 1 (Stats.get d "pages_read");
   Alcotest.(check int) "probes" 2 (Stats.get d "index_probes");
   Alcotest.(check int) "unknown name" 0 (Stats.get d "no_such_counter");
@@ -223,7 +224,49 @@ let stats_registry () =
   check_contains "pp" pp "index_probes 2";
   let z = Stats.zero () in
   Stats.accum ~into:z after before;
-  Alcotest.(check int) "accum" 1 (Stats.pages_read z)
+  Alcotest.(check int) "accum" 1 (Stats.get z "pages_read")
+
+(* Two modules that bump one counter both declare it (the B+tree and the
+   hash index both count index probes): a later declaration returns the
+   first one's slot, so bumps through either handle land in one entry and
+   the exposition types the name once. Declaring the name with another
+   group or kind is a programming error. *)
+let counter_same_name () =
+  let a = Stats.counter "index_probes" and b = Stats.counter "index_probes" in
+  let before = Stats.snapshot () in
+  Stats.incr a;
+  Stats.add b 2;
+  let d = Stats.diff (Stats.snapshot ()) before in
+  Alcotest.(check (list int)) "both bumps in one entry" [ 3 ]
+    (List.filter_map (fun (n, v) -> if n = "index_probes" then Some v else None) (Stats.to_list d));
+  let types =
+    String.split_on_char '\n' (Ode_util.Metrics.prometheus ())
+    |> List.filter (String.starts_with ~prefix:"# TYPE ode_index_probes ")
+  in
+  Alcotest.(check (list string)) "one TYPE line" [ "# TYPE ode_index_probes counter" ] types;
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "other group raises" true
+    (raises (fun () -> Stats.counter ~group:Stats.Recovery "index_probes"));
+  Alcotest.(check bool) "other kind raises" true
+    (raises (fun () -> Stats.counter ~kind:Stats.Gauge "index_probes"))
+
+(* Every counter the test binary links, with its group and kind, against
+   the committed [test/counters.expected]: moving a declaration between
+   modules must not rename, regroup or drop a counter. The group is read
+   back through [pp_recovery], which prints exactly the recovery slots. *)
+let counter_registry_golden () =
+  let here = Filename.dirname Sys.executable_name in
+  let expected =
+    In_channel.with_open_text (Filename.concat here "counters.expected") In_channel.input_all
+  in
+  let recovery = String.split_on_char ' ' (Fmt.str "%a" Stats.pp_recovery (Stats.snapshot ())) in
+  let line name =
+    Printf.sprintf "%s %s %s\n" name
+      (if List.mem name recovery then "recovery" else "workload")
+      (match Stats.kind_of name with Stats.Counter -> "counter" | Stats.Gauge -> "gauge")
+  in
+  let actual = String.concat "" (List.map line (List.sort compare (Stats.registered ()))) in
+  Alcotest.(check string) "registered counters" expected actual
 
 (* -- metrics exposition ---------------------------------------------------- *)
 
@@ -461,6 +504,8 @@ let suite =
         Alcotest.test_case "histogram concurrent drain" `Quick histogram_concurrent_drain;
         Alcotest.test_case "histogram disabled" `Quick histogram_time_disabled;
         Alcotest.test_case "stats registry round-trip" `Quick stats_registry;
+        Alcotest.test_case "counter same-name registration" `Quick counter_same_name;
+        Alcotest.test_case "counter registry golden" `Quick counter_registry_golden;
         Alcotest.test_case "prometheus exposition" `Quick prometheus_exposition;
         Alcotest.test_case "metrics json shape" `Quick metrics_json_shape;
         Alcotest.test_case "stats output name-sorted" `Quick stats_sorted_output;

@@ -238,7 +238,7 @@ let recovery_bounded () =
   Db.crash db;
   let s0 = Stats.snapshot () in
   let db2 = Db.open_ ~wal_checkpoint_bytes:4096 dir in
-  let replayed = Stats.(recovery_replayed (snapshot ()) - recovery_replayed s0) in
+  let replayed = Stats.(get (snapshot ()) "recovery_replayed" - get s0 "recovery_replayed") in
   Tutil.check_int "no commit lost" n (List.length (tags db2));
   Tutil.check_int "lsn exact" l (Db.lsn db2);
   Tutil.check_bool

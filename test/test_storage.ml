@@ -59,7 +59,7 @@ let pool_hit_miss () =
   let before = Ode_util.Stats.snapshot () in
   Pool.with_page p 0 (fun _ -> ());
   let after = Ode_util.Stats.snapshot () in
-  Tutil.check_int "pool hit" 1 Ode_util.Stats.(pool_hits (diff after before))
+  Tutil.check_int "pool hit" 1 Ode_util.Stats.(get (diff after before) "pool_hits")
 
 let pool_eviction_writes_back () =
   let d = Disk.in_memory () in
@@ -246,13 +246,13 @@ let wal_pending_commits () =
   Wal.sync w;
   let d = Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) before in
   Tutil.check_int "one ack clears the batch" 0 (Wal.pending_commits w);
-  Tutil.check_int "one physical sync" 1 (Ode_util.Stats.wal_syncs d);
-  Tutil.check_int "a batch of 2 saved 1 sync" 1 (Ode_util.Stats.wal_sync_saved d);
+  Tutil.check_int "one physical sync" 1 (Ode_util.Stats.get d "wal_syncs");
+  Tutil.check_int "a batch of 2 saved 1 sync" 1 (Ode_util.Stats.get d "wal_sync_saved");
   (* An empty ack is still a sync, but saves nothing and grows no group. *)
   let before = Ode_util.Stats.snapshot () in
   Wal.sync w;
   let d = Ode_util.Stats.diff (Ode_util.Stats.snapshot ()) before in
-  Tutil.check_int "empty sync saves nothing" 0 (Ode_util.Stats.wal_sync_saved d)
+  Tutil.check_int "empty sync saves nothing" 0 (Ode_util.Stats.get d "wal_sync_saved")
 
 let wal_reset_clears_pending () =
   let w = Wal.in_memory () in

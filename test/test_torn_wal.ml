@@ -114,9 +114,9 @@ let corrupt_frame_checksum () =
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x10));
   if Unix.write fd b 0 1 <> 1 then Alcotest.fail "short write";
   Unix.close fd;
-  let torn_before = Ode_util.Stats.(wal_torn_bytes (snapshot ())) in
+  let torn_before = Ode_util.Stats.(get (snapshot ()) "wal_torn_bytes") in
   let k = check_prefix snap in
-  let torn_after = Ode_util.Stats.(wal_torn_bytes (snapshot ())) in
+  let torn_after = Ode_util.Stats.(get (snapshot ()) "wal_torn_bytes") in
   Tutil.check_bool "txns after the flipped frame are discarded" true (k < 30);
   Tutil.check_bool "torn-byte counter grew" true (torn_after > torn_before)
 
