@@ -84,6 +84,16 @@ let bechamel_tests () =
        done;
        Test.make ~name:"E12.bptree_find" (Staged.stage (fun () ->
            ignore (Ode_index.Bptree.find t (Ode_util.Key.of_int 7_777)))));
+      (* page checksum: the hash behind every page write and pool miss, and
+         the byte-serial FNV-1a it replaced (still the WAL frame checksum) *)
+      (let page = Bytes.init 4096 (fun i -> Char.chr (i * 131 land 0xff)) in
+       Test.make_grouped ~name:"checksum"
+         [
+           Test.make ~name:"page_sum.4k" (Staged.stage (fun () ->
+               ignore (Ode_util.Codec.page_sum page ~pos:0 ~len:4096)));
+           Test.make ~name:"fnv64.4k" (Staged.stage (fun () ->
+               ignore (Ode_util.Codec.fnv64_bytes page ~pos:0 ~len:4096)));
+         ]);
     ]
 
 let run_bechamel () =

@@ -1,12 +1,16 @@
 (* Page-granular storage backends.
 
-   The file backend stamps an FNV-1a checksum into the trailer of every page
-   it writes and verifies it on every read, so torn or bit-flipped pages are
-   detected (Codec.Corrupt) instead of silently decoded. Multi-page flushes
-   go through a double-write journal: the batch is first written and fsynced
-   to a side file, then applied in place, so a crash anywhere in the middle
-   leaves either the journal (replayed at open) or the data file intact —
-   never a mix of old and new pages.
+   The file backend stamps a checksum (Codec.page_sum, XXH64) into the
+   trailer of every page it writes and verifies it on every read, so torn
+   or bit-flipped pages are detected (Codec.Corrupt) instead of silently
+   decoded. Multi-page flushes go through a double-write journal: the batch
+   is first written and fsynced to a side file, then applied in place, so a
+   crash anywhere in the middle leaves either the journal (replayed at
+   open) or the data file intact — never a mix of old and new pages.
+
+   Files written before the page checksum was XXH64 (FNV-1a trailers, an
+   "ODEDWJ01" journal) are refused at open with Codec.Corrupt and left
+   untouched; such a database must be reloaded from a dump.
 
    Failpoint sites cover every side-effecting step so the crash-torture
    harness can kill the process between any two syscalls. *)
@@ -15,7 +19,9 @@ module Stats = Ode_util.Stats
 module Codec = Ode_util.Codec
 module Failpoint = Ode_util.Failpoint
 
-type file = { fd : Unix.file_descr; journal : string; mutable pages : int }
+(* [image] is the double-write journal image, reused (and grown) across
+   batches under [t.mu]. *)
+type file = { fd : Unix.file_descr; journal : string; mutable pages : int; mutable image : bytes }
 type mem = { mutable arr : bytes array; mutable used : int }
 
 type backend =
@@ -81,47 +87,53 @@ let pwrite ?(len = Page.size) fd buf off =
 let checksum_off = Page.data_end
 
 let stamp page =
-  let sum = Codec.fnv64_bytes page ~pos:0 ~len:checksum_off in
+  let sum = Codec.page_sum page ~pos:0 ~len:checksum_off in
   Bytes.set_int64_le page checksum_off sum
 
 let checksum_ok page =
   Bytes.get_int64_le page checksum_off
-  = Codec.fnv64_bytes page ~pos:0 ~len:checksum_off
+  = Codec.page_sum page ~pos:0 ~len:checksum_off
 
 (* -- fault interpretation -------------------------------------------------
    A faulted write simulates a crash in the middle of the syscall: persist a
    prefix, or a corrupted image, then die. [Skip_effect] pretends the write
-   happened (lying hardware) and keeps running. *)
+   happened (lying hardware) and keeps running. The write covers the first
+   [len] bytes of [buf]. *)
 
-let faulted_write site fd buf off = function
+let faulted_write ?(len = Page.size) site fd buf off = function
   | Failpoint.Crash_site -> Failpoint.crash site
   | Failpoint.Short_effect frac ->
-      let len = Bytes.length buf in
       let keep = max 0 (min (len - 1) (int_of_float (frac *. float_of_int len))) in
       if keep > 0 then pwrite ~len:keep fd buf off;
       Failpoint.crash site
   | Failpoint.Flip_bit bit ->
-      let mangled = Bytes.copy buf in
-      let byte = bit / 8 mod Bytes.length mangled in
+      let mangled = Bytes.sub buf 0 len in
+      let byte = bit / 8 mod len in
       Bytes.set mangled byte
         (Char.chr (Char.code (Bytes.get mangled byte) lxor (1 lsl (bit mod 8))));
-      pwrite ~len:(Bytes.length mangled) fd mangled off;
+      pwrite ~len fd mangled off;
       Failpoint.crash site
   | Failpoint.Skip_effect -> ()
 
 (* -- double-write journal -------------------------------------------------
-   Format: "ODEDWJ01" | u32 count | count * (u32 page_no | page image) |
-   i64 fnv64 over everything before the trailer. The journal is valid only
-   if complete and checksummed, so a torn journal write is indistinguishable
-   from no journal — and in both cases the data file is still intact. *)
+   Format: "ODEDWJ02" | u32 count | count * (u32 page_no | page image) |
+   i64 Codec.page_sum over everything before the trailer. The journal is
+   valid only if complete and checksummed, so a torn journal write is
+   indistinguishable from no journal — and in both cases the data file is
+   still intact. A journal with the "ODEDWJ01" magic (FNV-1a trailer, from
+   an older build) is refused rather than discarded: its data file is in
+   the old page format too. *)
 
-let journal_magic = "ODEDWJ01"
+let journal_magic = "ODEDWJ02"
+let old_journal_magic = "ODEDWJ01"
 
-(* The image is built once, at its exact size, and hashed in place. *)
-let encode_journal batch =
+(* Build the image in [f.image], growing it when the batch does not fit,
+   and hash it in place. Returns the image length. *)
+let encode_journal f batch =
   let magic_len = String.length journal_magic in
   let body_len = magic_len + 4 + (List.length batch * (4 + Page.size)) in
-  let image = Bytes.create (body_len + 8) in
+  if Bytes.length f.image < body_len + 8 then f.image <- Bytes.create (body_len + 8);
+  let image = f.image in
   Bytes.blit_string journal_magic 0 image 0 magic_len;
   Bytes.set_int32_le image magic_len (Int32.of_int (List.length batch));
   let off = ref (magic_len + 4) in
@@ -131,13 +143,13 @@ let encode_journal batch =
       Bytes.blit page 0 image (!off + 4) Page.size;
       off := !off + 4 + Page.size)
     batch;
-  Bytes.set_int64_le image body_len (Codec.fnv64_bytes image ~pos:0 ~len:body_len);
-  image
+  Bytes.set_int64_le image body_len (Codec.page_sum image ~pos:0 ~len:body_len);
+  body_len + 8
 
 let decode_journal data =
   let len = String.length data in
   if len < String.length journal_magic + 4 + 8 then None
-  else if String.sub data 0 (String.length journal_magic) <> journal_magic then None
+  else if not (String.starts_with ~prefix:journal_magic data) then None
   else
     let c = Codec.cursor ~pos:(String.length journal_magic) data in
     match
@@ -150,7 +162,7 @@ let decode_journal data =
       done;
       let body_len = Codec.pos c in
       let sum = Codec.get_i64 c in
-      if sum <> Codec.fnv64_bytes (Bytes.unsafe_of_string data) ~pos:0 ~len:body_len then None
+      if sum <> Codec.page_sum (Bytes.unsafe_of_string data) ~pos:0 ~len:body_len then None
       else Some (List.rev !batch)
     with
     | v -> v
@@ -177,6 +189,12 @@ let recover_journal fd journal_path =
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
   | jfd ->
       let data = Fun.protect ~finally:(fun () -> Unix.close jfd) (fun () -> read_whole jfd) in
+      if String.starts_with ~prefix:old_journal_magic data then
+        raise
+          (Codec.Corrupt
+             (Printf.sprintf
+                "disk: %s is an %s journal from an older page format; reload the database from a dump"
+                journal_path old_journal_magic));
       (match decode_journal data with
       | Some batch ->
           List.iter
@@ -190,10 +208,33 @@ let recover_journal fd journal_path =
 
 (* -- construction --------------------------------------------------------- *)
 
+(* Interior pages only change through the journal, so on a file of more
+   than one page a bad page 0 is corruption or an older page format, never
+   a torn extension: refuse it before anything is truncated. *)
+let check_first_page fd path =
+  if (Unix.fstat fd).Unix.st_size / Page.size > 1 then begin
+    let buf = Bytes.create Page.size in
+    pread fd buf 0;
+    if not (checksum_ok buf) then begin
+      Stats.incr c_checksum_failures;
+      raise
+        (Codec.Corrupt
+           (Printf.sprintf
+              "disk: %s: bad checksum on page 0 (corrupt, or written by an older page format; \
+               reload the database from a dump)"
+              path))
+    end
+  end
+
 let open_file path =
   let journal = path ^ ".journal" in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  recover_journal fd journal;
+  (try
+     recover_journal fd journal;
+     check_first_page fd path
+   with e ->
+     Unix.close fd;
+     raise e);
   let len = (Unix.fstat fd).Unix.st_size in
   (* A sub-page tail can only be a torn extension write: drop it. *)
   let len =
@@ -220,7 +261,7 @@ let open_file path =
     end
   in
   trim ();
-  { backend = File { fd; journal; pages = !pages }; mu = Mutex.create () }
+  { backend = File { fd; journal; pages = !pages; image = Bytes.empty }; mu = Mutex.create () }
 
 let in_memory () =
   { backend = Memory { arr = Array.make 8 Bytes.empty; used = 0 }; mu = Mutex.create () }
@@ -237,6 +278,7 @@ let check_range t n ~extend =
 
 let h_page_read = Ode_util.Histogram.create "page.read"
 let h_page_write = Ode_util.Histogram.create "page.write"
+let h_write_batch = Ode_util.Histogram.create "disk.write_batch"
 
 let read_into t n buf =
   Mutex.protect t.mu @@ fun () ->
@@ -293,8 +335,8 @@ let write t n page = Mutex.protect t.mu (fun () -> write_unlocked t n page)
 
 let write_batch t batch =
   Mutex.protect t.mu @@ fun () ->
-  (* one histogram sample per physical batch, like the single-page path *)
-  Ode_util.Histogram.time h_page_write @@ fun () ->
+  (* one sample per batch; [page.write] times single-page writes only *)
+  Ode_util.Histogram.time h_write_batch @@ fun () ->
   Ode_util.Trace.with_span ~cat:"disk" "disk.write_batch" @@ fun () ->
   match (t.backend, batch) with
   | _, [] -> ()
@@ -312,14 +354,14 @@ let write_batch t batch =
         batch;
       List.iter (fun (_, page) -> stamp page) batch;
       (* 1. Make the whole batch durable in the journal. *)
-      let image = encode_journal batch in
+      let len = encode_journal f batch in
       let jfd = Unix.openfile f.journal [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
       Fun.protect
         ~finally:(fun () -> Unix.close jfd)
         (fun () ->
           (match Failpoint.hit fp_journal_write with
-          | Some act -> faulted_write fp_journal_write jfd image 0 act
-          | None -> pwrite ~len:(Bytes.length image) jfd image 0);
+          | Some act -> faulted_write ~len fp_journal_write jfd f.image 0 act
+          | None -> pwrite ~len jfd f.image 0);
           Unix.fsync jfd);
       (* 2. Apply in place. A crash here is repaired from the journal. *)
       List.iter

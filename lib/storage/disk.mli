@@ -4,18 +4,23 @@
     in-memory store (for tests and throwaway databases). Pages are numbered
     from 0 and are always {!Page.size} bytes.
 
-    The file backend stamps an FNV-1a checksum into each page's trailer on
-    write and verifies it on read ({!Ode_util.Codec.Corrupt} on mismatch),
-    and routes {!write_batch} through a double-write journal
-    ([<path>.journal]) so a crash mid-flush never leaves a mix of old and
-    new pages. *)
+    The file backend stamps a checksum ({!Ode_util.Codec.page_sum}) into
+    each page's trailer on write and verifies it on read
+    ({!Ode_util.Codec.Corrupt} on mismatch), and routes {!write_batch}
+    through a double-write journal ([<path>.journal]) so a crash mid-flush
+    never leaves a mix of old and new pages. *)
 
 type t
 
 val open_file : string -> t
 (** [open_file path] opens (creating if absent) a page file. Replays or
     discards a leftover double-write journal, then drops any torn trailing
-    pages (sub-page tails and trailing checksum failures). *)
+    pages (sub-page tails and trailing checksum failures). Raises
+    {!Ode_util.Codec.Corrupt}, changing nothing on disk, when page 0 of a
+    file of more than one page fails its checksum, or when the journal is
+    in the older ["ODEDWJ01"] format: files written with the older FNV-1a
+    page checksum are refused, never trimmed, and must be reloaded from a
+    dump. *)
 
 val in_memory : unit -> t
 (** A volatile backend backed by a growable array. *)

@@ -102,3 +102,68 @@ let fnv64_bytes b ~pos ~len =
   !h
 
 let fnv64 s = fnv64_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+
+(* XXH64 with seed 0: four independent multiply/rotate lanes over 32-byte
+   stripes, then the tail a word, a half-word and a byte at a time, then a
+   final xor-shift-multiply avalanche. Words are loaded little-endian on
+   every host, so a page checksums the same wherever it was written. One
+   bounds check up front covers the unchecked loads; every intermediate is
+   an unboxed local, so hashing allocates only the boxed result. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] word b i = if Sys.big_endian then bswap64 (get64u b i) else get64u b i
+
+let[@inline] half b i =
+  let w = if Sys.big_endian then bswap32 (get32u b i) else get32u b i in
+  Int64.logand (Int64.of_int32 w) 0xffffffffL
+
+let p1 = 0x9E3779B185EBCA87L
+let p2 = 0xC2B2AE3D27D4EB4FL
+let p3 = 0x165667B19E3779F9L
+let p4 = 0x85EBCA77C2B2AE63L
+let p5 = 0x27D4EB2F165667C5L
+let[@inline] rotl x r = Int64.(logor (shift_left x r) (shift_right_logical x (64 - r)))
+let[@inline] round acc w = Int64.(mul (rotl (add acc (mul w p2)) 31) p1)
+let[@inline] merge acc v = Int64.(add (mul (logxor acc (round 0L v)) p1) p4)
+
+let page_sum b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Codec.page_sum: slice out of bounds";
+  let stop = pos + len in
+  let i = ref pos in
+  let h = ref 0L in
+  if len >= 32 then begin
+    let v1 = ref (Int64.add p1 p2) and v2 = ref p2 and v3 = ref 0L and v4 = ref (Int64.neg p1) in
+    while !i <= stop - 32 do
+      let j = !i in
+      v1 := round !v1 (word b j);
+      v2 := round !v2 (word b (j + 8));
+      v3 := round !v3 (word b (j + 16));
+      v4 := round !v4 (word b (j + 24));
+      i := j + 32
+    done;
+    let acc = Int64.(add (add (rotl !v1 1) (rotl !v2 7)) (add (rotl !v3 12) (rotl !v4 18))) in
+    h := merge (merge (merge (merge acc !v1) !v2) !v3) !v4
+  end
+  else h := p5;
+  h := Int64.add !h (Int64.of_int len);
+  while !i <= stop - 8 do
+    h := Int64.(add (mul (rotl (logxor !h (round 0L (word b !i))) 27) p1) p4);
+    i := !i + 8
+  done;
+  if !i <= stop - 4 then begin
+    h := Int64.(add (mul (rotl (logxor !h (mul (half b !i) p1)) 23) p2) p3);
+    i := !i + 4
+  end;
+  while !i < stop do
+    let byte = Int64.of_int (Char.code (Bytes.unsafe_get b !i)) in
+    h := Int64.(mul (rotl (logxor !h (mul byte p5)) 11) p1);
+    incr i
+  done;
+  let h = !h in
+  let h = Int64.(mul (logxor h (shift_right_logical h 33)) p2) in
+  let h = Int64.(mul (logxor h (shift_right_logical h 29)) p3) in
+  Int64.logxor h (Int64.shift_right_logical h 32)

@@ -59,8 +59,18 @@ val get_raw : cursor -> int -> string
 (** {1 Checksums} *)
 
 val fnv64 : string -> int64
-(** FNV-1a 64-bit hash, used as a WAL record checksum. Allocates nothing. *)
+(** FNV-1a 64-bit hash, used as a WAL record checksum and by the hash
+    index. Allocates nothing. *)
 
 val fnv64_bytes : bytes -> pos:int -> len:int -> int64
-(** Same hash over a byte-buffer slice, hashed in place. Used for page and
-    journal checksums and WAL frames, whose images live in [bytes]. *)
+(** Same hash over a byte-buffer slice, hashed in place. Used for WAL
+    frames, whose images live in [bytes]. *)
+
+val page_sum : bytes -> pos:int -> len:int -> int64
+(** XXH64 (seed 0) of a byte-buffer slice, hashed in place a 64-bit
+    little-endian word at a time, so the value does not depend on the
+    host's byte order. The page and double-write journal checksum; with
+    four independent lanes it is several times faster than
+    {!fnv64_bytes}, whose every step waits on the last. Allocates only
+    its result. Raises [Invalid_argument] when the slice is out of
+    bounds. *)

@@ -83,6 +83,80 @@ let fnv_allocation () =
   if string_words > 8. then Alcotest.failf "fnv64 allocated %.0f words over 64 KiB" string_words;
   if bytes_words > 8. then Alcotest.failf "fnv64_bytes allocated %.0f words over 64 KiB" bytes_words
 
+(* Reference XXH64 values (seed 0); "" and "abc" are the published
+   vectors. The lengths cover every tail step (word, half-word, byte) after
+   the four-lane stripes, and each slice is also hashed at an odd offset,
+   where no word load is aligned. *)
+let page_sum_vectors () =
+  let pattern n = String.init n (fun i -> Char.chr (i land 0xff)) in
+  let vectors =
+    [
+      ("", 0xef46db3751d8e999L);
+      ("a", 0xd24ec4f1a98c6e5bL);
+      ("abc", 0x44bc2cf5ad770999L);
+      (pattern 47, 0x0d9883a03e7bfbb8L);
+      (pattern 4088, 0xa0b098c6b23bb3fcL);
+    ]
+  in
+  List.iter
+    (fun (s, h) ->
+      let n = String.length s in
+      Alcotest.(check int64)
+        (Printf.sprintf "page_sum of %d bytes" n)
+        h
+        (Codec.page_sum (Bytes.of_string s) ~pos:0 ~len:n);
+      Alcotest.(check int64)
+        (Printf.sprintf "page_sum of %d bytes at pos 3" n)
+        h
+        (Codec.page_sum (Bytes.of_string ("<<<" ^ s ^ ">>>")) ~pos:3 ~len:n))
+    vectors;
+  match Codec.page_sum (Bytes.create 8) ~pos:1 ~len:8 with
+  | _ -> Alcotest.fail "expected Invalid_argument for a slice past the end"
+  | exception Invalid_argument _ -> ()
+
+(* A random page as the disk layer checksums it: [data_end] bytes hashed,
+   the sum in the trailer after them. *)
+let page_size = Ode_storage.Page.size
+let data_end = Ode_storage.Page.data_end
+
+let random_page seed =
+  let rng = Ode_util.Prng.create seed in
+  let page = Bytes.of_string (Ode_util.Prng.string rng page_size) in
+  Bytes.set_int64_le page data_end (Codec.page_sum page ~pos:0 ~len:data_end);
+  page
+
+let verifies page = Bytes.get_int64_le page data_end = Codec.page_sum page ~pos:0 ~len:data_end
+
+let page_sum_bit_flips () =
+  let page = random_page 15 in
+  Tutil.check_bool "stamped page verifies" true (verifies page);
+  let missed = ref 0 in
+  for bit = 0 to (data_end * 8) - 1 do
+    let byte = bit / 8 in
+    let orig = Bytes.get page byte in
+    Bytes.set page byte (Char.chr (Char.code orig lxor (1 lsl (bit mod 8))));
+    if verifies page then incr missed;
+    Bytes.set page byte orig
+  done;
+  Tutil.check_int (Printf.sprintf "undetected flips of %d" (data_end * 8)) 0 !missed
+
+(* A zeroed page (a hole, or a write that never landed) must not pass for
+   a stamped page, nor may a page with one 512-byte sector lost. *)
+let page_sum_zeroed_sectors () =
+  Tutil.check_bool "all-zero page rejected" false (verifies (Bytes.make page_size '\000'));
+  for sector = 0 to (page_size / 512) - 1 do
+    let page = random_page 16 in
+    Bytes.fill page (sector * 512) 512 '\000';
+    Tutil.check_bool (Printf.sprintf "sector %d zeroed rejected" sector) false (verifies page)
+  done
+
+let page_sum_allocation () =
+  let b = Bytes.init 65536 (fun i -> Char.chr (i land 0xff)) in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Codec.page_sum b ~pos:1 ~len:65535));
+  let words = Gc.minor_words () -. before in
+  if words > 8. then Alcotest.failf "page_sum allocated %.0f words over 64 KiB" words
+
 let prop_int_roundtrip =
   QCheck.Test.make ~name:"int roundtrip" ~count:500 QCheck.int (fun n ->
       let b = Buffer.create 8 in
@@ -113,6 +187,10 @@ let suite =
         Alcotest.test_case "fnv64 behaves" `Quick fnv_distinct;
         Alcotest.test_case "fnv64 published vectors" `Quick fnv_vectors;
         Alcotest.test_case "fnv64 allocates nothing per byte" `Quick fnv_allocation;
+        Alcotest.test_case "page_sum reference vectors" `Quick page_sum_vectors;
+        Alcotest.test_case "page_sum catches every bit flip" `Quick page_sum_bit_flips;
+        Alcotest.test_case "page_sum rejects zeroed sectors" `Quick page_sum_zeroed_sectors;
+        Alcotest.test_case "page_sum allocates nothing per word" `Quick page_sum_allocation;
       ] );
     Tutil.qsuite "codec.props" [ prop_int_roundtrip; prop_string_roundtrip; prop_float_roundtrip ];
   ]

@@ -49,6 +49,90 @@ let disk_truncate () =
   Disk.truncate d 1;
   Tutil.check_int "truncated" 1 (Disk.page_count d)
 
+(* -- on-disk format guard ----------------------------------------------- *)
+
+module Codec = Ode_util.Codec
+
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
+(* A page as an older build stamped it: FNV-1a over the data area. *)
+let fnv_page fill =
+  let page = Bytes.make Page.size fill in
+  Bytes.set_int64_le page Page.data_end (Codec.fnv64_bytes page ~pos:0 ~len:Page.data_end);
+  page
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let refused what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Codec.Corrupt at open" what
+  | exception Codec.Corrupt _ -> ()
+
+(* A data file in the older page format is refused, not trimmed to
+   nothing as a run of torn trailing pages. *)
+let old_page_format_refused () =
+  let dir = Tutil.temp_dir "oldfmt" in
+  let path = Filename.concat dir "pages" in
+  write_file path (String.concat "" (List.map (fun c -> Bytes.to_string (fnv_page c)) [ 'a'; 'b'; 'c' ]));
+  let before = file_bytes path in
+  (match Disk.open_file path with
+  | _ -> Alcotest.fail "expected Codec.Corrupt at open"
+  | exception Codec.Corrupt msg ->
+      Tutil.check_bool "message names the file" true (contains msg path));
+  let after = file_bytes path in
+  Tutil.check_int "length unchanged" (String.length before) (String.length after);
+  Tutil.check_bool "bytes unchanged" true (before = after)
+
+(* A complete journal in the older "ODEDWJ01" format is refused and left in
+   place; the data file is not touched. *)
+let old_journal_refused () =
+  let dir = Tutil.temp_dir "oldjournal" in
+  let path = Filename.concat dir "pages" in
+  let d = Disk.open_file path in
+  ignore (Disk.allocate d);
+  ignore (Disk.allocate d);
+  Disk.write d 1 (Bytes.make Page.size 'n');
+  Disk.sync d;
+  Disk.close d;
+  let before = file_bytes path in
+  let b = Buffer.create (Page.size + 32) in
+  Buffer.add_string b "ODEDWJ01";
+  Codec.put_u32 b 1;
+  Codec.put_u32 b 1;
+  Buffer.add_bytes b (fnv_page 'o');
+  Codec.put_i64 b (Codec.fnv64 (Buffer.contents b));
+  let journal = path ^ ".journal" in
+  write_file journal (Buffer.contents b);
+  refused "old journal" (fun () -> Disk.open_file path);
+  Tutil.check_bool "data file untouched" true (file_bytes path = before);
+  Tutil.check_bool "journal left in place" true (Sys.file_exists journal)
+
+(* A torn page 0 in a one-page file is a torn extension write and is still
+   trimmed, as is a torn last page behind a good page 0. *)
+let torn_first_page_trimmed () =
+  let dir = Tutil.temp_dir "torn0" in
+  let path = Filename.concat dir "pages" in
+  let failures () = Ode_util.Stats.get (Ode_util.Stats.snapshot ()) "checksum_failures" in
+  write_file path (String.make Page.size 't');
+  let f0 = failures () in
+  let d = Disk.open_file path in
+  Tutil.check_int "torn page 0 trimmed" 0 (Disk.page_count d);
+  Tutil.check_int "counted" 1 (failures () - f0);
+  ignore (Disk.allocate d);
+  Disk.close d;
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc (String.make Page.size 't'));
+  let d = Disk.open_file path in
+  Tutil.check_int "torn page 1 trimmed" 1 (Disk.page_count d);
+  Disk.close d;
+  Tutil.check_int "file length" Page.size (String.length (file_bytes path))
+
 (* -- buffer pool -------------------------------------------------------- *)
 
 let pool_hit_miss () =
@@ -383,6 +467,9 @@ let suite =
         Alcotest.test_case "file read/write persists" `Quick file_disk_rw;
         Alcotest.test_case "range checks" `Quick disk_range_checks;
         Alcotest.test_case "truncate" `Quick disk_truncate;
+        Alcotest.test_case "older page format refused" `Quick old_page_format_refused;
+        Alcotest.test_case "older journal format refused" `Quick old_journal_refused;
+        Alcotest.test_case "torn page 0 of one page trimmed" `Quick torn_first_page_trimmed;
       ] );
     ( "buffer_pool",
       [
